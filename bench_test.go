@@ -233,6 +233,40 @@ func BenchmarkLiveStrategy(b *testing.B) {
 	}
 }
 
+// BenchmarkTracegen measures phase 1 — the simulated CPU running one
+// workload under the tracer — for each of the five paper workloads at
+// scale 1. Compilation happens once outside the timer; each iteration
+// loads a fresh machine and traces the whole run. Besides ns/op and
+// allocs/op it reports simulated instructions and trace events per
+// host second. It is report-only: no gate reads it.
+func BenchmarkTracegen(b *testing.B) {
+	for _, p := range progs.All(1) {
+		img, err := minic.CompileToImage(p.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(p.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var instret, events uint64
+			for i := 0; i < b.N; i++ {
+				m, err := kernel.NewMachine(img, arch.PageSize4K)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tr, err := tracer.New(m, p.Name).Run(p.Fuel)
+				if err != nil {
+					b.Fatal(err)
+				}
+				instret += tr.Instret
+				events += uint64(len(tr.Events))
+			}
+			secs := b.Elapsed().Seconds()
+			b.ReportMetric(float64(instret)/secs, "instr/s")
+			b.ReportMetric(float64(events)/secs, "events/s")
+		})
+	}
+}
+
 // BenchmarkSimReplay compares the two phase-2 replay engines on the
 // bps trace (the suite's largest session population): the sequential
 // one-pass simulator against the session-sharded engine at several

@@ -202,6 +202,15 @@ type Image struct {
 
 // FuncAt returns the function containing text address a, or nil.
 func (img *Image) FuncAt(a arch.Addr) *FuncInfo {
+	if i := img.FuncIndexAt(a); i >= 0 {
+		return &img.Funcs[i]
+	}
+	return nil
+}
+
+// FuncIndexAt returns the index in Funcs of the function containing
+// text address a, or -1.
+func (img *Image) FuncIndexAt(a arch.Addr) int {
 	// Binary search over the sorted (by Entry) Funcs slice.
 	lo, hi := 0, len(img.Funcs)
 	for lo < hi {
@@ -213,9 +222,9 @@ func (img *Image) FuncAt(a arch.Addr) *FuncInfo {
 		}
 	}
 	if lo < len(img.Funcs) && a >= img.Funcs[lo].Entry && a < img.Funcs[lo].End {
-		return &img.Funcs[lo]
+		return lo
 	}
-	return nil
+	return -1
 }
 
 // TextRange returns the address range occupied by the text segment.

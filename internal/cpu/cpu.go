@@ -15,6 +15,15 @@
 //   - Host functions let the kernel provide runtime services that are
 //     invoked with an ordinary JAL, which is how the CodePatch check
 //     subroutine is modelled.
+//
+// Fetch goes through a predecode table with one slot per text word
+// (DESIGN §18). A slot is filled only by a fetch that passed every
+// check of mem.FetchWord and decoded to a legal instruction; the
+// memory reports every write into text and every protection change
+// overlapping it, and the CPU clears the affected slots, so a hit
+// always runs the instruction a checked fetch would run now. Anything
+// else — an empty slot, a misaligned PC, a PC outside text — takes the
+// checked FetchWord → Decode path and fails exactly as it always has.
 package cpu
 
 import (
@@ -90,12 +99,73 @@ type CPU struct {
 	// OnRet is invoked when a return executes (JALR r0, ra).
 	OnRet func(pc arch.Addr)
 
+	// DecodeMisses counts fetches that missed the predecode table and
+	// took the checked FetchWord → Decode path: first executions,
+	// re-fetches after text changed, and every failing fetch.
+	DecodeMisses uint64
+
+	// pre[i] predecodes the text word at TextBase + 4i; see fetch.
+	pre       []slot
 	hostFuncs map[arch.Addr]func(*CPU) error
 }
 
-// New returns a CPU attached to m with all state zeroed.
+// slot is one predecoded text word. The zero slot (Op ILL) is empty:
+// illegal words are never cached, so they fault on every fetch.
+type slot struct {
+	in   isa.Inst
+	cost uint32
+}
+
+// maxSlots covers the whole text segment.
+const maxSlots = int(arch.TextLimit-arch.TextBase) / arch.WordBytes
+
+// New returns a CPU attached to m with all state zeroed. The CPU
+// watches m's text for changes (mem.Memory.ObserveText), so Mem must
+// not be replaced afterwards.
 func New(m *mem.Memory) *CPU {
-	return &CPU{Mem: m, hostFuncs: make(map[arch.Addr]func(*CPU) error)}
+	c := &CPU{Mem: m, hostFuncs: make(map[arch.Addr]func(*CPU) error)}
+	m.ObserveText(c.invalidate)
+	return c
+}
+
+// invalidate empties the predecode slots of the text words in
+// [ba, ea). The memory calls it on every text write and on every
+// protection change overlapping text.
+func (c *CPU) invalidate(ba, ea arch.Addr) {
+	if ea <= arch.TextBase {
+		return
+	}
+	lo := int(max(ba, arch.TextBase)-arch.TextBase) / arch.WordBytes
+	hi := min(int(ea-arch.TextBase+arch.WordBytes-1)/arch.WordBytes, len(c.pre))
+	if lo < hi {
+		clear(c.pre[lo:hi])
+	}
+}
+
+// fetch is the checked fetch behind a predecode miss: FetchWord's
+// alignment, segment and exec checks, then Decode. A legal instruction
+// fetched from text fills its slot; words outside text are never
+// cached, because the memory reports changes to text only.
+func (c *CPU) fetch(pc arch.Addr) (isa.Inst, uint64, error) {
+	c.DecodeMisses++
+	raw, err := c.Mem.FetchWord(pc)
+	if err != nil {
+		return isa.Inst{}, 0, &ExecError{PC: pc, Err: err}
+	}
+	in := isa.Decode(uint32(raw))
+	if !in.Op.Valid() {
+		return isa.Inst{}, 0, &ExecError{PC: pc, Err: fmt.Errorf("illegal instruction %#08x", raw)}
+	}
+	cost := in.Cost()
+	if pc < arch.TextLimit {
+		i := int(pc-arch.TextBase) / arch.WordBytes
+		if i >= len(c.pre) {
+			n := min(max(i+1, 2*len(c.pre), 1024), maxSlots)
+			c.pre = append(c.pre, make([]slot, n-len(c.pre))...)
+		}
+		c.pre[i] = slot{in: in, cost: uint32(cost)}
+	}
+	return in, cost, nil
 }
 
 // RegisterHostFunc installs a host-implemented routine at text address a.
@@ -103,6 +173,15 @@ func New(m *mem.Memory) *CPU {
 // in RA), charging whatever cycles fn adds via ChargeCycles.
 func (c *CPU) RegisterHostFunc(a arch.Addr, fn func(*CPU) error) {
 	c.hostFuncs[a] = fn
+}
+
+// hostFunc returns the host routine registered at a, or nil. Most
+// machines register none, so the map lookup is skipped for them.
+func (c *CPU) hostFunc(a arch.Addr) func(*CPU) error {
+	if len(c.hostFuncs) == 0 {
+		return nil
+	}
+	return c.hostFuncs[a]
 }
 
 // ChargeCycles adds kernel or device service time to the cycle clock.
@@ -121,179 +200,191 @@ func (c *CPU) Step() error {
 	if c.Halted {
 		return nil
 	}
-	pc := c.PC
-	raw, err := c.Mem.FetchWord(pc)
-	if err != nil {
-		return &ExecError{PC: pc, Err: err}
-	}
-	in := isa.Decode(uint32(raw))
-	if !in.Op.Valid() {
-		return &ExecError{PC: pc, Err: fmt.Errorf("illegal instruction %#08x", raw)}
-	}
-	c.Cycles += in.Cost()
-	c.Instret++
-	next := pc + arch.WordBytes
+	return c.exec(c.Instret + 1)
+}
 
-	switch in.Op {
-	case isa.ADD:
-		c.setReg(in.RD, c.Regs[in.RS1]+c.Regs[in.RS2])
-	case isa.SUB:
-		c.setReg(in.RD, c.Regs[in.RS1]-c.Regs[in.RS2])
-	case isa.MUL:
-		c.setReg(in.RD, arch.Word(int32(c.Regs[in.RS1])*int32(c.Regs[in.RS2])))
-	case isa.DIV:
-		d := int32(c.Regs[in.RS2])
-		if d == 0 {
-			return &ExecError{PC: pc, Err: fmt.Errorf("division by zero")}
-		}
-		c.setReg(in.RD, arch.Word(int32(c.Regs[in.RS1])/d))
-	case isa.REM:
-		d := int32(c.Regs[in.RS2])
-		if d == 0 {
-			return &ExecError{PC: pc, Err: fmt.Errorf("division by zero")}
-		}
-		c.setReg(in.RD, arch.Word(int32(c.Regs[in.RS1])%d))
-	case isa.AND:
-		c.setReg(in.RD, c.Regs[in.RS1]&c.Regs[in.RS2])
-	case isa.OR:
-		c.setReg(in.RD, c.Regs[in.RS1]|c.Regs[in.RS2])
-	case isa.XOR:
-		c.setReg(in.RD, c.Regs[in.RS1]^c.Regs[in.RS2])
-	case isa.SLT:
-		c.setReg(in.RD, boolWord(int32(c.Regs[in.RS1]) < int32(c.Regs[in.RS2])))
-	case isa.SLTU:
-		c.setReg(in.RD, boolWord(c.Regs[in.RS1] < c.Regs[in.RS2]))
-	case isa.SLL:
-		c.setReg(in.RD, c.Regs[in.RS1]<<(c.Regs[in.RS2]&31))
-	case isa.SRL:
-		c.setReg(in.RD, c.Regs[in.RS1]>>(c.Regs[in.RS2]&31))
-	case isa.SRA:
-		c.setReg(in.RD, arch.Word(int32(c.Regs[in.RS1])>>(c.Regs[in.RS2]&31)))
-
-	case isa.ADDI:
-		c.setReg(in.RD, c.Regs[in.RS1]+arch.Word(in.Imm))
-	case isa.ANDI:
-		c.setReg(in.RD, c.Regs[in.RS1]&arch.Word(uint16(in.Imm)))
-	case isa.ORI:
-		c.setReg(in.RD, c.Regs[in.RS1]|arch.Word(uint16(in.Imm)))
-	case isa.XORI:
-		c.setReg(in.RD, c.Regs[in.RS1]^arch.Word(uint16(in.Imm)))
-	case isa.SLTI:
-		c.setReg(in.RD, boolWord(int32(c.Regs[in.RS1]) < in.Imm))
-	case isa.SLLI:
-		c.setReg(in.RD, c.Regs[in.RS1]<<(uint32(in.Imm)&31))
-	case isa.SRLI:
-		c.setReg(in.RD, c.Regs[in.RS1]>>(uint32(in.Imm)&31))
-	case isa.SRAI:
-		c.setReg(in.RD, arch.Word(int32(c.Regs[in.RS1])>>(uint32(in.Imm)&31)))
-	case isa.LUI:
-		c.setReg(in.RD, arch.Word(uint16(in.Imm))<<16)
-
-	case isa.LW:
-		a := c.Regs[in.RS1] + arch.Word(in.Imm)
-		w, err := c.Mem.ReadWord(arch.Addr(a))
-		if err != nil {
-			return &ExecError{PC: pc, Err: err}
-		}
-		c.setReg(in.RD, w)
-	case isa.SW:
-		a := arch.Addr(c.Regs[in.RS1] + arch.Word(in.Imm))
-		if err := c.Mem.WriteWord(a, c.Regs[in.RD]); err != nil {
-			f, ok := err.(*mem.Fault)
-			if !ok || f.Kind != mem.FaultProtection || c.FaultHandler == nil {
-				return &ExecError{PC: pc, Err: err}
-			}
-			if herr := c.FaultHandler(c, f, in, pc); herr != nil {
-				return &ExecError{PC: pc, Err: herr}
-			}
-		}
-		c.Stores++
-		if c.OnStore != nil {
-			c.OnStore(a, a+arch.WordBytes, pc)
-		}
-
-	case isa.BEQ:
-		if c.Regs[in.RD] == c.Regs[in.RS1] {
-			next = branchTarget(pc, in.Imm)
-			c.Cycles += isa.BranchTakenPenalty
-		}
-	case isa.BNE:
-		if c.Regs[in.RD] != c.Regs[in.RS1] {
-			next = branchTarget(pc, in.Imm)
-			c.Cycles += isa.BranchTakenPenalty
-		}
-	case isa.BLT:
-		if int32(c.Regs[in.RD]) < int32(c.Regs[in.RS1]) {
-			next = branchTarget(pc, in.Imm)
-			c.Cycles += isa.BranchTakenPenalty
-		}
-	case isa.BGE:
-		if int32(c.Regs[in.RD]) >= int32(c.Regs[in.RS1]) {
-			next = branchTarget(pc, in.Imm)
-			c.Cycles += isa.BranchTakenPenalty
-		}
-
-	case isa.JAL:
-		target := arch.Addr(uint32(in.Imm) * arch.WordBytes)
-		c.setReg(isa.RA, arch.Word(next))
-		if c.OnCall != nil {
-			c.OnCall(target, pc)
-		}
-		if h, ok := c.hostFuncs[target]; ok {
-			if err := h(c); err != nil {
-				return &ExecError{PC: pc, Err: err}
-			}
-			// Host functions return immediately to the caller: `next`
-			// already holds the instruction after the jump.
-			if c.OnRet != nil {
-				c.OnRet(pc)
-			}
+// exec executes instructions until the program halts, an instruction
+// fails, or Instret reaches limit. Step and Run share it, so a run
+// pays no call per instruction.
+func (c *CPU) exec(limit uint64) error {
+	for !c.Halted && c.Instret < limit {
+		pc := c.PC
+		var in isa.Inst
+		var cost uint64
+		if i := uint32(pc-arch.TextBase) / arch.WordBytes; pc%arch.WordBytes == 0 && i < uint32(len(c.pre)) && c.pre[i].in.Op != isa.ILL {
+			s := &c.pre[i]
+			in, cost = s.in, uint64(s.cost)
 		} else {
-			next = target
-		}
-	case isa.JALR:
-		target := arch.Addr(c.Regs[in.RS1] + arch.Word(in.Imm))
-		isRet := in.RD == isa.R0 && in.RS1 == isa.RA && in.Imm == 0
-		c.setReg(in.RD, arch.Word(next))
-		if isRet {
-			if c.OnRet != nil {
-				c.OnRet(pc)
+			var err error
+			if in, cost, err = c.fetch(pc); err != nil {
+				return err
 			}
-		} else if in.RD == isa.RA && c.OnCall != nil {
-			c.OnCall(target, pc)
 		}
-		if h, ok := c.hostFuncs[target]; ok {
-			if err := h(c); err != nil {
+		c.Cycles += cost
+		c.Instret++
+		next := pc + arch.WordBytes
+
+		switch in.Op {
+		case isa.ADD:
+			c.setReg(in.RD, c.Regs[in.RS1]+c.Regs[in.RS2])
+		case isa.SUB:
+			c.setReg(in.RD, c.Regs[in.RS1]-c.Regs[in.RS2])
+		case isa.MUL:
+			c.setReg(in.RD, arch.Word(int32(c.Regs[in.RS1])*int32(c.Regs[in.RS2])))
+		case isa.DIV:
+			d := int32(c.Regs[in.RS2])
+			if d == 0 {
+				return &ExecError{PC: pc, Err: fmt.Errorf("division by zero")}
+			}
+			c.setReg(in.RD, arch.Word(int32(c.Regs[in.RS1])/d))
+		case isa.REM:
+			d := int32(c.Regs[in.RS2])
+			if d == 0 {
+				return &ExecError{PC: pc, Err: fmt.Errorf("division by zero")}
+			}
+			c.setReg(in.RD, arch.Word(int32(c.Regs[in.RS1])%d))
+		case isa.AND:
+			c.setReg(in.RD, c.Regs[in.RS1]&c.Regs[in.RS2])
+		case isa.OR:
+			c.setReg(in.RD, c.Regs[in.RS1]|c.Regs[in.RS2])
+		case isa.XOR:
+			c.setReg(in.RD, c.Regs[in.RS1]^c.Regs[in.RS2])
+		case isa.SLT:
+			c.setReg(in.RD, boolWord(int32(c.Regs[in.RS1]) < int32(c.Regs[in.RS2])))
+		case isa.SLTU:
+			c.setReg(in.RD, boolWord(c.Regs[in.RS1] < c.Regs[in.RS2]))
+		case isa.SLL:
+			c.setReg(in.RD, c.Regs[in.RS1]<<(c.Regs[in.RS2]&31))
+		case isa.SRL:
+			c.setReg(in.RD, c.Regs[in.RS1]>>(c.Regs[in.RS2]&31))
+		case isa.SRA:
+			c.setReg(in.RD, arch.Word(int32(c.Regs[in.RS1])>>(c.Regs[in.RS2]&31)))
+
+		case isa.ADDI:
+			c.setReg(in.RD, c.Regs[in.RS1]+arch.Word(in.Imm))
+		case isa.ANDI:
+			c.setReg(in.RD, c.Regs[in.RS1]&arch.Word(uint16(in.Imm)))
+		case isa.ORI:
+			c.setReg(in.RD, c.Regs[in.RS1]|arch.Word(uint16(in.Imm)))
+		case isa.XORI:
+			c.setReg(in.RD, c.Regs[in.RS1]^arch.Word(uint16(in.Imm)))
+		case isa.SLTI:
+			c.setReg(in.RD, boolWord(int32(c.Regs[in.RS1]) < in.Imm))
+		case isa.SLLI:
+			c.setReg(in.RD, c.Regs[in.RS1]<<(uint32(in.Imm)&31))
+		case isa.SRLI:
+			c.setReg(in.RD, c.Regs[in.RS1]>>(uint32(in.Imm)&31))
+		case isa.SRAI:
+			c.setReg(in.RD, arch.Word(int32(c.Regs[in.RS1])>>(uint32(in.Imm)&31)))
+		case isa.LUI:
+			c.setReg(in.RD, arch.Word(uint16(in.Imm))<<16)
+
+		case isa.LW:
+			a := c.Regs[in.RS1] + arch.Word(in.Imm)
+			w, err := c.Mem.ReadWord(arch.Addr(a))
+			if err != nil {
 				return &ExecError{PC: pc, Err: err}
 			}
-			if c.OnRet != nil && !isRet && in.RD == isa.RA {
-				c.OnRet(pc)
+			c.setReg(in.RD, w)
+		case isa.SW:
+			a := arch.Addr(c.Regs[in.RS1] + arch.Word(in.Imm))
+			if err := c.Mem.WriteWord(a, c.Regs[in.RD]); err != nil {
+				f, ok := err.(*mem.Fault)
+				if !ok || f.Kind != mem.FaultProtection || c.FaultHandler == nil {
+					return &ExecError{PC: pc, Err: err}
+				}
+				if herr := c.FaultHandler(c, f, in, pc); herr != nil {
+					return &ExecError{PC: pc, Err: herr}
+				}
 			}
-		} else {
-			next = target
+			c.Stores++
+			if c.OnStore != nil {
+				c.OnStore(a, a+arch.WordBytes, pc)
+			}
+
+		case isa.BEQ:
+			if c.Regs[in.RD] == c.Regs[in.RS1] {
+				next = branchTarget(pc, in.Imm)
+				c.Cycles += isa.BranchTakenPenalty
+			}
+		case isa.BNE:
+			if c.Regs[in.RD] != c.Regs[in.RS1] {
+				next = branchTarget(pc, in.Imm)
+				c.Cycles += isa.BranchTakenPenalty
+			}
+		case isa.BLT:
+			if int32(c.Regs[in.RD]) < int32(c.Regs[in.RS1]) {
+				next = branchTarget(pc, in.Imm)
+				c.Cycles += isa.BranchTakenPenalty
+			}
+		case isa.BGE:
+			if int32(c.Regs[in.RD]) >= int32(c.Regs[in.RS1]) {
+				next = branchTarget(pc, in.Imm)
+				c.Cycles += isa.BranchTakenPenalty
+			}
+
+		case isa.JAL:
+			target := arch.Addr(uint32(in.Imm) * arch.WordBytes)
+			c.setReg(isa.RA, arch.Word(next))
+			if c.OnCall != nil {
+				c.OnCall(target, pc)
+			}
+			if h := c.hostFunc(target); h != nil {
+				if err := h(c); err != nil {
+					return &ExecError{PC: pc, Err: err}
+				}
+				// Host functions return immediately to the caller: `next`
+				// already holds the instruction after the jump.
+				if c.OnRet != nil {
+					c.OnRet(pc)
+				}
+			} else {
+				next = target
+			}
+		case isa.JALR:
+			target := arch.Addr(c.Regs[in.RS1] + arch.Word(in.Imm))
+			isRet := in.RD == isa.R0 && in.RS1 == isa.RA && in.Imm == 0
+			c.setReg(in.RD, arch.Word(next))
+			if isRet {
+				if c.OnRet != nil {
+					c.OnRet(pc)
+				}
+			} else if in.RD == isa.RA && c.OnCall != nil {
+				c.OnCall(target, pc)
+			}
+			if h := c.hostFunc(target); h != nil {
+				if err := h(c); err != nil {
+					return &ExecError{PC: pc, Err: err}
+				}
+				if c.OnRet != nil && !isRet && in.RD == isa.RA {
+					c.OnRet(pc)
+				}
+			} else {
+				next = target
+			}
+
+		case isa.SYS:
+			if c.Syscall == nil {
+				return &ExecError{PC: pc, Err: fmt.Errorf("no syscall handler for sys %d", in.Imm)}
+			}
+			if err := c.Syscall(c, int(in.Imm)); err != nil {
+				return &ExecError{PC: pc, Err: err}
+			}
+		case isa.TRAP:
+			if c.TrapHandler == nil {
+				return &ExecError{PC: pc, Err: fmt.Errorf("unhandled trap %d", in.Imm)}
+			}
+			if err := c.TrapHandler(c, int(in.Imm), pc); err != nil {
+				return &ExecError{PC: pc, Err: err}
+			}
+
+		default:
+			return &ExecError{PC: pc, Err: fmt.Errorf("unimplemented op %v", in.Op)}
 		}
 
-	case isa.SYS:
-		if c.Syscall == nil {
-			return &ExecError{PC: pc, Err: fmt.Errorf("no syscall handler for sys %d", in.Imm)}
+		if !c.Halted {
+			c.PC = next
 		}
-		if err := c.Syscall(c, int(in.Imm)); err != nil {
-			return &ExecError{PC: pc, Err: err}
-		}
-	case isa.TRAP:
-		if c.TrapHandler == nil {
-			return &ExecError{PC: pc, Err: fmt.Errorf("unhandled trap %d", in.Imm)}
-		}
-		if err := c.TrapHandler(c, int(in.Imm), pc); err != nil {
-			return &ExecError{PC: pc, Err: err}
-		}
-
-	default:
-		return &ExecError{PC: pc, Err: fmt.Errorf("unimplemented op %v", in.Op)}
-	}
-
-	if !c.Halted {
-		c.PC = next
 	}
 	return nil
 }
@@ -311,14 +402,11 @@ func (c *CPU) Run(fuel uint64) error {
 	if ferr := fault.Inject(fault.SiteCPUFuel, c.FaultKey); ferr != nil {
 		return &ExecError{PC: c.PC, Err: fmt.Errorf("%w: %w", ErrFuelExhausted, ferr)}
 	}
-	limit := c.Instret + fuel
-	for !c.Halted {
-		if c.Instret >= limit {
-			return &ExecError{PC: c.PC, Err: ErrFuelExhausted}
-		}
-		if err := c.Step(); err != nil {
-			return err
-		}
+	if err := c.exec(c.Instret + fuel); err != nil {
+		return err
+	}
+	if !c.Halted {
+		return &ExecError{PC: c.PC, Err: ErrFuelExhausted}
 	}
 	return nil
 }

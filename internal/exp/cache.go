@@ -309,7 +309,7 @@ func buildArtifacts(p progs.Program, o *obs) (*artifacts, error) {
 	if tr != nil {
 		events = int64(len(tr.Events))
 	}
-	ps.doneTraced(err, events)
+	ps.doneTraced(err, events, m.CPU)
 	if err != nil {
 		return nil, fmt.Errorf("exp: tracing %s: %w", p.Name, err)
 	}

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"edb/internal/cpu"
 	"edb/internal/fault"
 	"edb/internal/obsv"
 )
@@ -146,10 +147,22 @@ func (ps *phaseSpan) done(err error) { ps.finish(err, -1, false) }
 // events replayed (feeds the events/sec gauge and ReplayProgress).
 func (ps *phaseSpan) doneEvents(err error, events int64) { ps.finish(err, events, true) }
 
-// doneTraced is done for the tracegen phase: events annotates the span
-// only — the replay throughput metrics and ReplayProgress callback are
-// reserved for actual replay phases.
-func (ps *phaseSpan) doneTraced(err error, events int64) { ps.finish(err, events, false) }
+// doneTraced is done for the tracegen phase. events and the traced
+// core's throughput — instructions retired, millions per second, and
+// predecode misses — annotate the span only: the replay throughput
+// metrics and ReplayProgress callback are reserved for actual replay
+// phases.
+func (ps *phaseSpan) doneTraced(err error, events int64, c *cpu.CPU) {
+	if ps.o == nil {
+		return
+	}
+	ps.span.Int("instret", int64(c.Instret))
+	if secs := time.Since(ps.start).Seconds(); secs > 0 {
+		ps.span.Float("minstr_per_s", float64(c.Instret)/secs/1e6)
+	}
+	ps.span.Int("predecode_misses", int64(c.DecodeMisses))
+	ps.finish(err, events, false)
+}
 
 func (ps *phaseSpan) finish(err error, events int64, replay bool) {
 	o := ps.o

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -110,7 +111,8 @@ func TestObservedRunDeterminism(t *testing.T) {
 func TestSpansWellFormed(t *testing.T) {
 	tr := obsv.NewTracer(0)
 	ResetCache()
-	if _, err := Run(Config{Programs: []string{"bps"}, Workers: 2, Tracer: tr}); err != nil {
+	res, err := Run(Config{Programs: []string{"bps"}, Workers: 2, Tracer: tr})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if open := tr.Open(); open != 0 {
@@ -128,6 +130,9 @@ func TestSpansWellFormed(t *testing.T) {
 		}
 		if _, ok := want[r.Name]; ok {
 			want[r.Name] = true
+		}
+		if r.Name == PhaseTracegen {
+			checkTracegenAttrs(t, r.Attrs, res[0].Instret)
 		}
 	}
 	for name, seen := range want {
@@ -287,5 +292,27 @@ func TestConfigContextShim(t *testing.T) {
 		// The shim only applies when ctx == Background; a non-Background
 		// live context must not fall back to the cancelled field.
 		t.Fatalf("explicit context lost to deprecated field: %v", err)
+	}
+}
+
+// checkTracegenAttrs: the tracegen span carries the traced core's
+// throughput — instret equal to the run's, a positive minstr_per_s, and
+// a predecode miss count that is positive (every text word misses once)
+// but far below instret (the table hits on every re-execution).
+func checkTracegenAttrs(t *testing.T, attrs []obsv.KV, instret uint64) {
+	t.Helper()
+	got := map[string]string{}
+	for _, kv := range attrs {
+		got[kv.Key] = kv.Val
+	}
+	if got["instret"] != strconv.FormatUint(instret, 10) {
+		t.Errorf("tracegen instret = %q, want %d", got["instret"], instret)
+	}
+	if v, err := strconv.ParseFloat(got["minstr_per_s"], 64); err != nil || v <= 0 {
+		t.Errorf("tracegen minstr_per_s = %q, want a positive rate", got["minstr_per_s"])
+	}
+	misses, err := strconv.ParseUint(got["predecode_misses"], 10, 64)
+	if err != nil || misses == 0 || misses*100 > instret {
+		t.Errorf("tracegen predecode_misses = %q, want in (0, instret/100] (instret %d)", got["predecode_misses"], instret)
 	}
 }

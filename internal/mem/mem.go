@@ -119,6 +119,26 @@ type Memory struct {
 	frames   []*frame
 	prots    []Prot
 	pageSize int // MMU page size for mprotect granularity (4K or 8K)
+
+	// textObs are told about every change to text: a word written
+	// below arch.TextLimit, or a protection change overlapping it.
+	textObs []func(ba, ea arch.Addr)
+}
+
+// ObserveText registers fn to be called with the changed range
+// [ba, ea) whenever the contents or the protection of text change —
+// every word written below arch.TextLimit, by any write path, and
+// every Protect overlapping text. A Protect reports the whole pages
+// it touched, clipped to text. The CPU's predecode table registers
+// here, so no stale decoded instruction can outlive its text word.
+func (m *Memory) ObserveText(fn func(ba, ea arch.Addr)) {
+	m.textObs = append(m.textObs, fn)
+}
+
+func (m *Memory) textChanged(ba, ea arch.Addr) {
+	for _, fn := range m.textObs {
+		fn(ba, ea)
+	}
 }
 
 // New returns a memory with the given MMU page size (PageSize4K or
@@ -155,43 +175,38 @@ func (m *Memory) frameOf(a arch.Addr, alloc bool) *frame {
 	return f
 }
 
-func (m *Memory) check(a arch.Addr, kind AccessKind) *Fault {
-	if !arch.Aligned(a) {
+// allowed reports whether an access needing permission p at a passes
+// every check: aligned, mapped, and p set on its page. It is small
+// enough to inline, so a permitted access costs no call.
+func (m *Memory) allowed(a arch.Addr, p Prot) bool {
+	return arch.Aligned(a) && arch.SegmentOf(a) != arch.SegNone && m.prots[a>>frameShift]&p != 0
+}
+
+// fault classifies an access that allowed rejected: alignment first,
+// then mapping, then protection.
+func fault(a arch.Addr, kind AccessKind) *Fault {
+	switch {
+	case !arch.Aligned(a):
 		return &Fault{Kind: FaultAlignment, Access: kind, Addr: a}
-	}
-	if arch.SegmentOf(a) == arch.SegNone {
+	case arch.SegmentOf(a) == arch.SegNone:
 		return &Fault{Kind: FaultUnmapped, Access: kind, Addr: a}
+	default:
+		return &Fault{Kind: FaultProtection, Access: kind, Addr: a}
 	}
-	p := m.prots[a>>frameShift]
-	switch kind {
-	case AccessRead:
-		if p&ProtRead == 0 {
-			return &Fault{Kind: FaultProtection, Access: kind, Addr: a}
-		}
-	case AccessWrite:
-		if p&ProtWrite == 0 {
-			return &Fault{Kind: FaultProtection, Access: kind, Addr: a}
-		}
-	case AccessFetch:
-		if p&ProtExec == 0 {
-			return &Fault{Kind: FaultProtection, Access: kind, Addr: a}
-		}
-	}
-	return nil
 }
 
 // ReadWord loads the word at a, honouring page protections.
 func (m *Memory) ReadWord(a arch.Addr) (arch.Word, error) {
-	if f := m.check(a, AccessRead); f != nil {
-		return 0, f
+	if !m.allowed(a, ProtRead) {
+		return 0, fault(a, AccessRead)
 	}
 	return m.readRaw(a), nil
 }
 
 // WriteWord stores w at a, honouring page protections.
 func (m *Memory) WriteWord(a arch.Addr, w arch.Word) error {
-	if f := m.check(a, AccessWrite); f != nil {
-		return f
+	if !m.allowed(a, ProtWrite) {
+		return fault(a, AccessWrite)
 	}
 	m.writeRaw(a, w)
 	return nil
@@ -199,8 +214,8 @@ func (m *Memory) WriteWord(a arch.Addr, w arch.Word) error {
 
 // FetchWord reads an instruction word at a, honouring execute protection.
 func (m *Memory) FetchWord(a arch.Addr) (arch.Word, error) {
-	if f := m.check(a, AccessFetch); f != nil {
-		return 0, f
+	if !m.allowed(a, ProtExec) {
+		return 0, fault(a, AccessFetch)
 	}
 	return m.readRaw(a), nil
 }
@@ -239,9 +254,14 @@ func (m *Memory) readRaw(a arch.Addr) arch.Word {
 	return f[(a%frameSize)/arch.WordBytes]
 }
 
+// writeRaw is the one place memory contents change, so it is where
+// text writes are reported.
 func (m *Memory) writeRaw(a arch.Addr, w arch.Word) {
 	f := m.frameOf(a, true)
 	f[(a%frameSize)/arch.WordBytes] = w
+	if a < arch.TextLimit {
+		m.textChanged(a, a+arch.WordBytes)
+	}
 }
 
 // Protect sets the protection of every MMU page overlapping [ba, ea).
@@ -252,6 +272,7 @@ func (m *Memory) Protect(ba, ea arch.Addr, p Prot) {
 		return
 	}
 	first := arch.AlignDown(ba, arch.Addr(m.pageSize))
+	end := first
 	for page := first; page < ea; page += arch.Addr(m.pageSize) {
 		for sub := page; sub < page+arch.Addr(m.pageSize); sub += frameSize {
 			idx := int(sub >> frameShift)
@@ -259,6 +280,10 @@ func (m *Memory) Protect(ba, ea arch.Addr, p Prot) {
 				m.prots[idx] = p
 			}
 		}
+		end = page + arch.Addr(m.pageSize)
+	}
+	if first < arch.TextLimit {
+		m.textChanged(first, min(end, arch.TextLimit))
 	}
 }
 

@@ -232,3 +232,48 @@ func TestNewRejectsBadPageSize(t *testing.T) {
 	}()
 	New(1234)
 }
+
+// TestObserveText: every path that changes text reports the changed
+// range — WriteWord, KernelWriteWord, WriteBytesKernel word by word,
+// and Protect as whole pages clipped to text — and nothing outside
+// text is reported.
+func TestObserveText(t *testing.T) {
+	m := New(arch.PageSize8K)
+	var got []arch.Range
+	m.ObserveText(func(ba, ea arch.Addr) { got = append(got, arch.Range{BA: ba, EA: ea}) })
+	expect := func(what string, want ...arch.Range) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: reported %v, want %v", what, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: reported %v, want %v", what, got, want)
+			}
+		}
+		got = got[:0]
+	}
+	a := arch.TextBase + 0x40
+	if err := m.WriteWord(a, 1); err != nil {
+		t.Fatal(err)
+	}
+	expect("WriteWord", arch.Range{BA: a, EA: a + 4})
+	if err := m.KernelWriteWord(a, 2); err != nil {
+		t.Fatal(err)
+	}
+	expect("KernelWriteWord", arch.Range{BA: a, EA: a + 4})
+	if err := m.WriteBytesKernel(a, []byte{1, 2, 3, 4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	expect("WriteBytesKernel", arch.Range{BA: a, EA: a + 4}, arch.Range{BA: a + 4, EA: a + 8})
+	m.Protect(a, a+4, ProtRead)
+	expect("Protect", arch.Range{BA: 0, EA: arch.PageSize8K})
+	m.Protect(arch.TextLimit-4, arch.TextLimit+4, ProtRW)
+	expect("Protect across the text limit", arch.Range{BA: arch.TextLimit - arch.PageSize8K, EA: arch.TextLimit})
+	if err := m.KernelWriteWord(arch.GlobalBase, 3); err != nil {
+		t.Fatal(err)
+	}
+	m.Protect(arch.GlobalBase, arch.GlobalBase+4, ProtRead)
+	m.Protect(a, a, ProtRead)
+	expect("writes and protects outside text")
+}

@@ -35,6 +35,7 @@ type frame struct {
 	funcIdx int // index into image Funcs, -1 if unknown
 	fp      arch.Addr
 	// installed ranges for this frame's locals, parallel to localIDs.
+	// Popped frames keep their backing array for the next push.
 	ranges []arch.Range
 }
 
@@ -55,12 +56,15 @@ type Tracer struct {
 	// staticInfo and globalInfo hold program-lifetime objects.
 	lifetime []lifetimeObj
 
+	// implicit[i] reports whether the store at TextBase + 4i is
+	// compiler bookkeeping (the image's ImplicitStores, by text word).
+	implicit []bool
+
 	heapByAddr map[arch.Addr]heapObj
 	heapSeq    int
 
 	shadow    []frame
 	stackFns  []string // function names on the shadow stack, innermost last
-	fnCount   map[string]int
 	truncated bool
 
 	// Monitor-churn schedule (see Churn): churn[churnNext] fires once
@@ -75,7 +79,16 @@ type Tracer struct {
 	// further writes and surfaces when the run ends.
 	sink    *trace.Writer
 	sinkErr error
+
+	// A materialised run (Run) collects events in fixed-size chunks
+	// — full ones in chunks, the open one in cur — and joins them once
+	// when the run ends, instead of re-copying one growing slice.
+	chunks [][]trace.Event
+	cur    []trace.Event
 }
+
+// chunkEvents is the capacity of one event chunk of a materialised run.
+const chunkEvents = 1 << 16
 
 type lifetimeObj struct {
 	sym string
@@ -97,7 +110,10 @@ func New(m *kernel.Machine, program string) *Tracer {
 		img:        m.Image,
 		tab:        objects.NewTable(),
 		heapByAddr: make(map[arch.Addr]heapObj),
-		fnCount:    make(map[string]int),
+		implicit:   make([]bool, len(m.Image.Text)),
+	}
+	for a := range t.img.ImplicitStores {
+		t.implicit[(a-arch.TextBase)/arch.WordBytes] = true
 	}
 	t.tr = &trace.Trace{Program: program, Objects: t.tab}
 
@@ -166,7 +182,28 @@ func (t *Tracer) emit(e trace.Event) {
 		}
 		return
 	}
-	t.tr.Events = append(t.tr.Events, e)
+	if len(t.cur) == cap(t.cur) {
+		if len(t.cur) > 0 {
+			t.chunks = append(t.chunks, t.cur)
+		}
+		t.cur = make([]trace.Event, 0, chunkEvents)
+	}
+	t.cur = append(t.cur, e)
+}
+
+// events joins the collected chunks into one exactly sized slice.
+func (t *Tracer) events() []trace.Event {
+	n := len(t.cur)
+	for _, c := range t.chunks {
+		n += len(c)
+	}
+	out := make([]trace.Event, 0, n)
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
+	out = append(out, t.cur...)
+	t.chunks, t.cur = nil, nil
+	return out
 }
 
 // Objects exposes the tracer's object table — callers constructing a
@@ -177,7 +214,7 @@ func (t *Tracer) emit(e trace.Event) {
 func (t *Tracer) Objects() *objects.Table { return t.tab }
 
 func (t *Tracer) onStore(ba, ea, pc arch.Addr) {
-	if t.img.ImplicitStores[pc] {
+	if i := int(pc-arch.TextBase) / arch.WordBytes; i < len(t.implicit) && t.implicit[i] {
 		return
 	}
 	t.emit(trace.Event{Kind: trace.EvWrite, BA: ba, EA: ea, PC: pc})
@@ -233,28 +270,31 @@ func (t *Tracer) Churn(points []ChurnPoint) error {
 }
 
 func (t *Tracer) pushFunc(funcIdx int, fp arch.Addr) {
-	fr := frame{funcIdx: funcIdx, fp: fp}
+	if n := len(t.shadow); n < cap(t.shadow) {
+		t.shadow = t.shadow[:n+1]
+	} else {
+		t.shadow = append(t.shadow, frame{})
+	}
+	fr := &t.shadow[len(t.shadow)-1]
+	fr.funcIdx, fr.fp, fr.ranges = funcIdx, fp, fr.ranges[:0]
 	if funcIdx >= 0 {
 		f := &t.img.Funcs[funcIdx]
-		fr.ranges = make([]arch.Range, len(f.Locals))
 		for li, l := range f.Locals {
 			base := fp - arch.Addr(l.Offset)
 			r := arch.Range{BA: base, EA: base + arch.Addr(l.SizeWords*arch.WordBytes)}
-			fr.ranges[li] = r
+			fr.ranges = append(fr.ranges, r)
 			t.emit(trace.Event{Kind: trace.EvInstall, Obj: t.localIDs[funcIdx][li], BA: r.BA, EA: r.EA})
 		}
 		t.stackFns = append(t.stackFns, f.Name)
-		t.fnCount[f.Name]++
 	} else {
 		t.stackFns = append(t.stackFns, "")
 	}
-	t.shadow = append(t.shadow, fr)
 }
 
 func (t *Tracer) onCall(target, pc arch.Addr) {
-	funcIdx := -1
-	if f := t.img.FuncAt(target); f != nil && f.Entry == target {
-		funcIdx = t.img.FuncBySym[f.Name]
+	funcIdx := t.img.FuncIndexAt(target)
+	if funcIdx >= 0 && t.img.Funcs[funcIdx].Entry != target {
+		funcIdx = -1
 	}
 	// At the call instruction, SP has not yet been decremented by the
 	// callee's prologue, so the callee's frame pointer will equal the
@@ -267,13 +307,9 @@ func (t *Tracer) onRet(pc arch.Addr) {
 		t.truncated = true
 		return
 	}
-	fr := t.shadow[len(t.shadow)-1]
+	fr := &t.shadow[len(t.shadow)-1]
 	t.shadow = t.shadow[:len(t.shadow)-1]
-	name := t.stackFns[len(t.stackFns)-1]
 	t.stackFns = t.stackFns[:len(t.stackFns)-1]
-	if name != "" {
-		t.fnCount[name]--
-	}
 	if fr.funcIdx >= 0 {
 		for li := len(fr.ranges) - 1; li >= 0; li-- {
 			r := fr.ranges[li]
@@ -337,6 +373,7 @@ func (t *Tracer) Run(fuel uint64) (*trace.Trace, error) {
 	if err := t.run(fuel); err != nil {
 		return nil, err
 	}
+	t.tr.Events = t.events()
 	t.tr.BaseCycles = t.m.CPU.Cycles
 	t.tr.Instret = t.m.CPU.Instret
 	return t.tr, nil
@@ -368,11 +405,7 @@ func (t *Tracer) run(fuel uint64) error {
 		t.emit(trace.Event{Kind: trace.EvInstall, Obj: lo.id, BA: lo.r.BA, EA: lo.r.EA})
 	}
 	// The entry function's frame (no OnCall fires for it).
-	entryIdx := -1
-	if f := t.img.FuncAt(t.img.Entry); f != nil {
-		entryIdx = t.img.FuncBySym[f.Name]
-	}
-	t.pushFunc(entryIdx, arch.Addr(t.m.CPU.Regs[isa.SP]))
+	t.pushFunc(t.img.FuncIndexAt(t.img.Entry), arch.Addr(t.m.CPU.Regs[isa.SP]))
 
 	if err := t.m.Run(fuel); err != nil {
 		return err
@@ -385,9 +418,16 @@ func (t *Tracer) run(fuel uint64) error {
 	for len(t.shadow) > 0 {
 		t.onRet(t.m.CPU.PC)
 	}
-	for a := range t.heapByAddr {
-		h := t.heapByAddr[a]
-		delete(t.heapByAddr, a)
+	// Live heap objects go in a fixed order — descending object ID,
+	// the innermost allocation first — never in map order, so two
+	// traces of one program are byte-identical.
+	live := make([]heapObj, 0, len(t.heapByAddr))
+	for _, h := range t.heapByAddr {
+		live = append(live, h)
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].id > live[j].id })
+	clear(t.heapByAddr)
+	for _, h := range live {
 		t.emit(trace.Event{Kind: trace.EvRemove, Obj: h.id, BA: h.r.BA, EA: h.r.EA})
 	}
 	for i := len(t.lifetime) - 1; i >= 0; i-- {

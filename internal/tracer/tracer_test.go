@@ -8,6 +8,7 @@ import (
 	"edb/internal/kernel"
 	"edb/internal/minic"
 	"edb/internal/objects"
+	"edb/internal/progs"
 	"edb/internal/trace"
 )
 
@@ -584,5 +585,65 @@ func TestChurnStreamedBitIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Errorf("streamed churned v3 bytes diverge from materialised (%d vs %d bytes)", got.Len(), want.Len())
+	}
+}
+
+// TestWorkloadTracesByteIdentical: two traces of each workload encode
+// to identical bytes. Heap objects still live at exit used to be torn
+// down in map order, so spice, gcc and bps traces differed from run to
+// run in their final remove events; teardown now goes by descending
+// object ID.
+func TestWorkloadTracesByteIdentical(t *testing.T) {
+	for _, p := range progs.All(1) {
+		img, err := minic.CompileToImage(p.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc [2][]byte
+		for i := range enc {
+			m, err := kernel.NewMachine(img, arch.PageSize4K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := New(m, p.Name).Run(p.Fuel)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			var buf bytes.Buffer
+			if err := trace.WriteTo(&buf, tr, trace.WriteOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			enc[i] = buf.Bytes()
+		}
+		if !bytes.Equal(enc[0], enc[1]) {
+			t.Errorf("%s: two traces encode to different bytes", p.Name)
+		}
+	}
+}
+
+// TestTeardownOrder: heap objects live at exit are removed innermost
+// allocation first — descending object ID — after the frames and
+// before the program-lifetime objects.
+func TestTeardownOrder(t *testing.T) {
+	tr := traceSrc(t, `
+	int main() {
+		int i;
+		int p;
+		for (i = 0; i < 12; i = i + 1) { p = alloc(8 + i * 4); }
+		return 0;
+	}`)
+	var heapRemoves []objects.ID
+	for _, e := range tr.Events {
+		if e.Kind == trace.EvRemove && tr.Objects.MustGet(e.Obj).Kind == objects.KindHeap {
+			heapRemoves = append(heapRemoves, e.Obj)
+		}
+	}
+	if len(heapRemoves) != 12 {
+		t.Fatalf("%d heap removes, want 12", len(heapRemoves))
+	}
+	for i := 1; i < len(heapRemoves); i++ {
+		if heapRemoves[i] >= heapRemoves[i-1] {
+			t.Fatalf("heap teardown order %v is not descending by ID", heapRemoves)
+		}
 	}
 }
