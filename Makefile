@@ -1,18 +1,26 @@
 # Development targets. `make ci` is what the CI workflow runs on every
-# PR: vet, staticcheck (when installed), the patch-soundness lint over
-# all five benchmark workloads, build, and the full test suite under
-# the race detector, twice (-count=2 defeats the test cache and catches
+# PR: vet (of the root module and of the edbbench module), staticcheck
+# (when installed), the patch-soundness lint over all five benchmark
+# workloads, build, and the full test suite under the race detector, twice (-count=2 defeats the test cache and catches
 # order-dependent state; -race is load-bearing for the parallel
 # experiment pipeline and the sharded simulator).
 
 GO ?= go
 
-.PHONY: ci vet staticcheck lint build test race chaos fuzz cover replay-gate trace-gate serve-gate repatch-gate bench-pipeline bench-replay bench-trace bench-codepatch-opt obsv-bench
+.PHONY: ci vet bench-vet staticcheck lint build test race chaos chaos-patterns fuzz cover replay-gate trace-gate serve-gate repatch-gate bench-pipeline bench-replay bench-trace bench-codepatch-opt obsv-bench
 
-ci: vet staticcheck build lint race chaos cover obsv-bench replay-gate trace-gate serve-gate repatch-gate
+ci: vet bench-vet staticcheck build lint race chaos cover obsv-bench replay-gate trace-gate serve-gate repatch-gate
 
 vet:
 	$(GO) vet ./...
+
+# edbbench (the repo benchmark behind edbbench/run.sh) is its own
+# module, so the root `go build ./...` never compiles it. Vetting it
+# here makes a removed sim/trace/exp API it imports fail CI instead of
+# the benchmark run. Offline: the module's only dependency is this
+# repository, through a replace directive.
+bench-vet:
+	cd edbbench && GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local $(GO) vet .
 
 # staticcheck is optional locally (not everyone has it on PATH; we never
 # auto-install); the CI workflow installs a pinned version so findings
@@ -51,11 +59,29 @@ race:
 # bit-identical to the fault-free baseline. Run under the race detector
 # (fault plans are process-global; workers claim benchmarks
 # concurrently).
-chaos:
+CHAOS_RUN_exp := TestChaos|TestWorkerPanic|TestContext|TestKeepGoing|TestRetry|TestPermanentFault|TestCacheDoesNotMemoise|TestCacheSurvives
+CHAOS_RUN_trace := TestV3|TestOpenStreamFaultInjection|TestReadRejects|TestWriteFaultInjection|TestCorruptionInjection|TestReadFaultInjection
+CHAOS_RUN_serve := TestServeChaos
+chaos: chaos-patterns
 	$(GO) test -race ./internal/fault/
-	$(GO) test -race -run 'TestChaos|TestWorkerPanic|TestContext|TestKeepGoing|TestRetry|TestPermanentFault|TestCacheDoesNotMemoise|TestCacheSurvives' ./internal/exp/
-	$(GO) test -race -run 'TestV3|TestOpenStreamFaultInjection|TestReadRejects|TestWriteFaultInjection|TestCorruptionInjection|TestReadFaultInjection' ./internal/trace/
-	$(GO) test -race -run 'TestServeChaos' ./internal/serve/
+	$(GO) test -race -run '$(CHAOS_RUN_exp)' ./internal/exp/
+	$(GO) test -race -run '$(CHAOS_RUN_trace)' ./internal/trace/
+	$(GO) test -race -run '$(CHAOS_RUN_serve)' ./internal/serve/
+
+# A -run pattern that matches no test passes silently, so a renamed or
+# deleted chaos test would drop out of the matrix unnoticed. Fail
+# instead when any alternative of a chaos pattern lists zero tests.
+chaos-patterns:
+	@set -e; \
+	for spec in 'exp:$(CHAOS_RUN_exp)' 'trace:$(CHAOS_RUN_trace)' 'serve:$(CHAOS_RUN_serve)'; do \
+		pkg=$${spec%%:*}; \
+		for pat in $$(echo "$${spec#*:}" | tr '|' ' '); do \
+			list=$$($(GO) test -list "$$pat" ./internal/$$pkg/); \
+			n=$$(printf '%s\n' "$$list" | grep -c -E '^(Test|Fuzz|Example|Benchmark)' || true); \
+			if [ "$$n" -eq 0 ]; then echo "chaos: pattern $$pat lists no test in internal/$$pkg"; exit 1; fi; \
+			echo "chaos: $$pat lists $$n in internal/$$pkg"; \
+		done; \
+	done
 
 # Fuzz smoke: the binary-decoder fuzz targets over their checked-in
 # corpora (truncated real workload traces / request envelopes +

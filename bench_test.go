@@ -285,7 +285,7 @@ func BenchmarkSimReplay(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.Sequential(tr, set); err != nil {
+			if _, err := sim.RunWithOptions(tr, set, sim.Options{Shards: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -308,7 +308,7 @@ func BenchmarkSimReplay(b *testing.B) {
 		seen[k] = true
 		b.Run(fmt.Sprintf("sharded-%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.Sharded(tr, set, k); err != nil {
+				if _, err := sim.RunWithOptions(tr, set, sim.Options{Shards: k}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -382,7 +382,7 @@ func BenchmarkTraceCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf writeCounter
-		if err := tr.Write(&buf); err != nil {
+		if err := trace.WriteTo(&buf, tr, trace.WriteOptions{Version: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -49,9 +49,9 @@ func TestCachedBlockIndex(t *testing.T) {
 		t.Errorf("%d cold builds for two requests, want 1", got)
 	}
 
-	// The cached summaries must be the ones WriteV3 emits.
+	// The cached summaries must be the ones a version-3 WriteTo emits.
 	var buf bytes.Buffer
-	if err := art.tr.WriteV3(&buf); err != nil {
+	if err := trace.WriteTo(&buf, art.tr, trace.WriteOptions{Version: 3}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := trace.OpenStream(bytes.NewReader(buf.Bytes()))

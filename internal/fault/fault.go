@@ -89,9 +89,9 @@ var (
 	// name is not known until the header parses). Honors Transient and
 	// Permanent.
 	SiteTraceRead = Register("trace.Read")
-	// SiteSimReplay fires at the top of phase-2 replay (sim.Sequential /
-	// sim.Sharded). Keyed by program name. Honors Transient, Permanent,
-	// and Panic.
+	// SiteSimReplay fires at the top of phase-2 replay (both engines
+	// behind sim.RunWithOptions). Keyed by program name. Honors
+	// Transient, Permanent, and Panic.
 	SiteSimReplay = Register("sim.Replay")
 	// SiteCPUFuel fires at the top of cpu.Run; the CPU converts the
 	// injection into an early ErrFuelExhausted, modelling a run that

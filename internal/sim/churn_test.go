@@ -70,12 +70,12 @@ var churnSimSchedule = []tracer.ChurnPoint{
 func TestChurnReplayEnginesAgree(t *testing.T) {
 	tr := churnedSimTrace(t, churnSimSchedule)
 	set := sessions.Discover(tr)
-	base, err := Sequential(tr, set)
+	base, err := RunWithOptions(tr, set, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sh, err := Sharded(tr, set, 3)
+	sh, err := RunWithOptions(tr, set, Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestChurnReplayEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, noskip := range []bool{false, true} {
-		st, err := RunStream(trace.BytesSource(buf.Bytes()), set, StreamOptions{Shards: 4, NoSkip: noskip})
+		st, err := RunWithOptions(nil, set, Options{Source: trace.BytesSource(buf.Bytes()), Shards: 4, NoSkip: noskip})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +133,11 @@ func TestChurnReplayMetamorphic(t *testing.T) {
 		}
 	}
 
-	b, err := Sequential(base, set)
+	b, err := RunWithOptions(base, set, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Sequential(churned, cset)
+	c, err := RunWithOptions(churned, cset, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

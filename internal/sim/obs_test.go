@@ -10,19 +10,20 @@ import (
 
 // TestObservedReplayIsBitIdentical pins the Options.Obs contract:
 // observation never feeds back. A replay under a live tracer must be
-// bit-identical to the unobserved replay, for both engines, and the
-// expected span structure must appear — the prepass span (only when the
-// engine computes the prepass itself), the engine span with its
-// events_per_sec attribute, and one span per shard worker.
+// bit-identical to the unobserved replay at one and three shards, and
+// the expected span structure must appear — the prepass span (only when
+// the engine computes the prepass itself), one engine span with its
+// events_per_sec and shards attributes, and one span per shard worker
+// when the replay fans out.
 func TestObservedReplayIsBitIdentical(t *testing.T) {
 	tr := checkedTrace(t, 71, 1500)
 	set := sessions.Discover(tr)
-	quiet, err := Sequential(tr, set)
+	quiet, err := RunWithOptions(tr, set, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Sequential, engine-computed prepass.
+	// One shard, engine-computed prepass.
 	obs := obsv.NewTracer(256)
 	seq, err := RunWithOptions(tr, set, Options{Shards: 1, Obs: obs})
 	if err != nil {
@@ -35,16 +36,22 @@ func TestObservedReplayIsBitIdentical(t *testing.T) {
 		}
 	}
 	names := spanNames(obs)
-	for _, want := range []string{"replay-prepass", "replay-sequential"} {
+	for _, want := range []string{"replay-prepass", "replay-memory"} {
 		if names[want] == 0 {
 			t.Errorf("sequential replay recorded no %q span (got %v)", want, names)
 		}
 	}
-	if !spanHasAttr(obs, "replay-sequential", "events_per_sec") {
-		t.Error("replay-sequential span lacks events_per_sec attribute")
+	if !spanHasAttr(obs, "replay-memory", "events_per_sec") {
+		t.Error("replay-memory span lacks events_per_sec attribute")
+	}
+	if got := spanAttr(obs, "replay-memory", "shards"); got != "1" {
+		t.Errorf("replay-memory shards attribute = %q, want 1", got)
+	}
+	if names["replay-shard"] != 0 {
+		t.Errorf("one-shard replay recorded %d replay-shard worker spans, want 0", names["replay-shard"])
 	}
 
-	// Sharded, shared precomputed prepass: no prepass span, one span
+	// Three shards, shared precomputed prepass: no prepass span, one span
 	// per worker.
 	pp, err := Prepare(tr)
 	if err != nil {
@@ -66,8 +73,11 @@ func TestObservedReplayIsBitIdentical(t *testing.T) {
 	if names["replay-prepass"] != 0 {
 		t.Error("sharded replay with a supplied prepass still recorded a replay-prepass span")
 	}
-	if names["replay-sharded"] == 0 {
-		t.Errorf("no replay-sharded span (got %v)", names)
+	if names["replay-memory"] != 1 {
+		t.Errorf("want 1 replay-memory span (got %v)", names)
+	}
+	if got := spanAttr(obs, "replay-memory", "shards"); got != "3" {
+		t.Errorf("replay-memory shards attribute = %q, want %d", got, k)
 	}
 	if names["replay-shard"] != k {
 		t.Errorf("got %d replay-shard worker spans, want %d", names["replay-shard"], k)
@@ -97,6 +107,22 @@ func spanNames(tr *obsv.Tracer) map[string]int {
 		}
 	}
 	return out
+}
+
+// spanAttr returns the value of attribute key on the first span named
+// span, or "" when there is none.
+func spanAttr(tr *obsv.Tracer, span, key string) string {
+	for _, r := range tr.Records() {
+		if r.Kind != obsv.KindSpan || r.Name != span {
+			continue
+		}
+		for _, kv := range r.Attrs {
+			if kv.Key == key {
+				return kv.Val
+			}
+		}
+	}
+	return ""
 }
 
 func spanHasAttr(tr *obsv.Tracer, span, key string) bool {

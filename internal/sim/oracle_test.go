@@ -267,9 +267,9 @@ func TestOnePassMatchesNaiveOracle(t *testing.T) {
 }
 
 // TestDifferentialSerialShardedNaive is the differential harness for
-// the sharded engine: on randomized traces of varying sizes, the
-// Sequential replay, the Sharded replay at every tested shard count,
-// and the naive per-session oracle must agree exactly — counting
+// sharded replay: on randomized traces of varying sizes, the one-shard
+// replay, the K-shard replay at every tested shard count, and the
+// naive per-session oracle must agree exactly — counting
 // variables, total writes, and header metadata.
 func TestDifferentialSerialShardedNaive(t *testing.T) {
 	cases := []struct {
@@ -283,20 +283,20 @@ func TestDifferentialSerialShardedNaive(t *testing.T) {
 	for _, tc := range cases {
 		tr := checkedTrace(t, tc.seed, tc.events)
 		set := sessions.Discover(tr)
-		seq, err := Sequential(tr, set)
+		seq, err := RunWithOptions(tr, set, Options{Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Sequential ≡ naive oracle, per session.
+		// One shard ≡ naive oracle, per session.
 		for i := range set.Sessions {
 			if want := naiveReplay(tr, &set.Sessions[i]); seq.PerSession[i] != want {
 				t.Errorf("seed %d session %s: sequential %+v != oracle %+v",
 					tc.seed, set.Sessions[i].Label(), seq.PerSession[i], want)
 			}
 		}
-		// Sequential ≡ Sharded, for every shard count.
+		// One shard ≡ K shards, for every shard count.
 		for _, k := range shardCounts() {
-			sh, err := Sharded(tr, set, k)
+			sh, err := RunWithOptions(tr, set, Options{Shards: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,12 +345,12 @@ func TestRandomTraceStraddlesPages(t *testing.T) {
 func TestShardedDegenerate(t *testing.T) {
 	tr := checkedTrace(t, 3, 400)
 	set := sessions.Discover(tr)
-	seq, err := Sequential(tr, set)
+	seq, err := RunWithOptions(tr, set, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{-1, 0, len(set.Sessions) + 50, 10_000} {
-		sh, err := Sharded(tr, set, k)
+		sh, err := RunWithOptions(tr, set, Options{Shards: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func TestShardedDegenerate(t *testing.T) {
 		}
 	}
 	empty := sessions.NewSet(nil, tr.Objects.Len())
-	sh, err := Sharded(tr, empty, 4)
+	sh, err := RunWithOptions(tr, empty, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,10 +376,10 @@ func TestShardedRejectsBadTrace(t *testing.T) {
 	tr := checkedTrace(t, 2, 200)
 	tr.Events = append(tr.Events, trace.Event{Kind: trace.EventKind(77)})
 	set := sessions.Discover(tr)
-	if _, err := Sharded(tr, set, 2); err == nil {
+	if _, err := RunWithOptions(tr, set, Options{Shards: 2}); err == nil {
 		t.Error("bad event kind should fail")
 	}
-	if _, err := Sequential(tr, set); err == nil {
+	if _, err := RunWithOptions(tr, set, Options{Shards: 1}); err == nil {
 		t.Error("bad event kind should fail sequentially too")
 	}
 }

@@ -1,29 +1,25 @@
 package sim
 
-// Block-parallel decode pipeline for sharded streamed replay.
+// The decode loop of streamed replay and its block-parallel fan-out.
 //
-// Before this pipeline every shard worker opened the source and
-// re-read (and re-CRC-verified, and re-decoded) the whole file; the
-// I/O and decode cost scaled with the shard count. Now the source is
-// opened exactly once: the decoder goroutine (runPipeline's calling
-// goroutine) iterates the stream, decodes each block once, deep-copies
-// it into a refcounted sharedBlock drawn from a small free list, and
-// fans the block out to every shard worker's bounded channel. The last
-// worker to finish a block returns it to the free list, so at most
-// pipelineDepth blocks are ever in flight regardless of trace size —
-// the memory ceiling is independent of the file.
+// The source is opened exactly once and runPipeline, on the calling
+// goroutine, iterates the stream and decodes each block once. With one
+// shard the decoder replays the block itself. With K > 1 it
+// deep-copies each block into a refcounted sharedBlock drawn from a
+// small free list and fans it out to every shard worker's bounded
+// channel. The last worker to finish a block returns it to the free
+// list, so at most pipelineDepth blocks are ever in flight regardless
+// of trace size — the memory ceiling is independent of the file.
 //
 // The decoder applies the block-skip test (stream.go package comment)
-// against the member pages of the *full* session set, maintained by a
-// full-range streamWorker used purely as a member-page tracker. Every
-// shard's member-page set is a subset of the full set's — membership
-// over [lo, hi) ⊆ membership over the whole set — so a block whose
-// summary cannot intersect the full set's pages cannot intersect any
-// shard's either: eliding DecodeWrites at the decoder is sound for all
-// workers at once. Workers still re-run the test against their own
-// narrower sets, so per-shard skips (and the counters' bit-identity
-// with the per-shard re-read engine, which the oracle suite re-proves)
-// are preserved exactly.
+// against the member pages of the *full* session set, kept by a
+// full-range streamWorker. Every shard's member-page set is a subset
+// of the full set's — membership over [lo, hi) ⊆ membership over the
+// whole set — so a block whose summary cannot intersect the full set's
+// pages cannot intersect any shard's either: eliding DecodeWrites at
+// the decoder is sound for all workers at once. Workers still re-run
+// the test against their own narrower sets, so per-shard skips are
+// preserved exactly.
 
 import (
 	"strconv"
@@ -77,19 +73,11 @@ func (sb *sharedBlock) copyFrom(sum *trace.BlockSummary, src *trace.Block) {
 // worker's own test or already by the decoder).
 func (w *streamWorker) consume(sb *sharedBlock) int {
 	blk := &sb.blk
-	if w.memberBits != nil {
-		w.extendMembers(blk)
-		if sb.sum.NWrites > 0 && !w.intersects(&sb.sum) {
-			w.replayIROnly(blk)
-			return 1
-		}
-	}
-	if !blk.WritesDecoded {
-		// The decoder skipped the write columns against the full
-		// session set — a superset of this worker's member pages — so
-		// this worker's own test above must also have skipped. Only
-		// reachable with the skip test disabled per-worker; replay the
-		// IR events, which is all the block carries.
+	// A block whose write columns the decoder skipped against the full
+	// session set — a superset of this worker's member pages — fails
+	// this worker's own test too, so !WritesDecoded only short-cuts a
+	// test whose answer is known.
+	if w.skips(&sb.sum, blk) || !blk.WritesDecoded {
 		w.replayIROnly(blk)
 		return 1
 	}
@@ -97,94 +85,138 @@ func (w *streamWorker) consume(sb *sharedBlock) int {
 	return 0
 }
 
-// runPipeline is the sharded streamed engine: one decode pass over s
-// feeding shards workers, each owning a contiguous session range of
-// out.PerSession. Caller closes s and runs finishCounters.
-func runPipeline(s *trace.Stream, set *sessions.Set, shards int, skip bool, obs *obsv.Tracer, out *Output) error {
-	n := len(set.Sessions)
-	free := make(chan *sharedBlock, pipelineDepth)
-	for i := 0; i < pipelineDepth; i++ {
-		free <- &sharedBlock{}
+// shardSpan opens the span of the stream worker replaying sessions
+// [lo, hi). It is started before the worker consumes its first block,
+// so it covers the worker's whole replay.
+func shardSpan(obs *obsv.Tracer, program string, lo, hi int32) obsv.Span {
+	sp := obs.StartSpan("replay-stream-shard")
+	if obs != nil {
+		sp.Attr("program", program)
+		sp.Attr("sessions", strconv.Itoa(int(lo))+".."+strconv.Itoa(int(hi)))
 	}
-	feeds := make([]chan *sharedBlock, shards)
-	for k := range feeds {
-		feeds[k] = make(chan *sharedBlock, pipelineDepth)
-	}
+	return sp
+}
 
-	var wg sync.WaitGroup
-	for k := 0; k < shards; k++ {
+// fanOut is the multi-shard half of the pipeline: the free list of
+// shared blocks and one bounded feed channel per shard worker.
+type fanOut struct {
+	free  chan *sharedBlock
+	feeds []chan *sharedBlock
+	wg    sync.WaitGroup
+}
+
+// startShards starts `shards` workers, each replaying a contiguous
+// session range of out.PerSession from its feed channel.
+func startShards(set *sessions.Set, shards int, skip bool, obs *obsv.Tracer, out *Output) *fanOut {
+	n := len(set.Sessions)
+	f := &fanOut{
+		free:  make(chan *sharedBlock, pipelineDepth),
+		feeds: make([]chan *sharedBlock, shards),
+	}
+	for i := 0; i < pipelineDepth; i++ {
+		f.free <- &sharedBlock{}
+	}
+	for k := range f.feeds {
 		// Even split: the first n%shards shards take one extra
-		// session. shards ≤ n, so every range is non-empty.
+		// session. shards <= n, so every range is non-empty.
 		lo := int32(k * n / shards)
 		hi := int32((k + 1) * n / shards)
-		wg.Add(1)
-		go func(k int, lo, hi int32) {
-			defer wg.Done()
+		feed := make(chan *sharedBlock, pipelineDepth)
+		f.feeds[k] = feed
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			sp := shardSpan(obs, out.Program, lo, hi)
 			w := newStreamWorker(set, lo, hi, out.PerSession[lo:hi], skip)
 			skipped := 0
-			for sb := range feeds[k] {
+			for sb := range feed {
 				skipped += w.consume(sb)
 				if sb.refs.Add(-1) == 0 {
-					free <- sb
+					f.free <- sb
 				}
 			}
 			w.settle()
-			if obs != nil {
-				sp := obs.StartSpan("replay-stream-shard")
-				sp.Attr("program", out.Program)
-				sp.Attr("sessions", strconv.Itoa(int(lo))+".."+strconv.Itoa(int(hi)))
-				sp.Int("skipped_blocks", int64(skipped))
-				sp.End()
-			}
-		}(k, lo, hi)
+			sp.Int("skipped_blocks", int64(skipped))
+			sp.End()
+		}()
 	}
+	return f
+}
 
-	// Full-set member-page tracker for the decoder's global skip test;
-	// per, pages, and words go unused.
-	var g *streamWorker
-	if skip {
-		g = newStreamWorker(set, 0, int32(n), nil, true)
+// send copies the stream's current block into a free shared block and
+// hands it to every worker.
+func (f *fanOut) send(sum *trace.BlockSummary, blk *trace.Block) {
+	sb := <-f.free
+	sb.copyFrom(sum, blk)
+	sb.refs.Store(int32(len(f.feeds)))
+	for _, feed := range f.feeds {
+		feed <- sb
 	}
+}
+
+// wait closes the feeds and waits for every worker to settle.
+func (f *fanOut) wait() {
+	for _, feed := range f.feeds {
+		close(feed)
+	}
+	f.wg.Wait()
+}
+
+// runPipeline is the decode loop of streamed replay: one pass over s
+// feeding shards workers, each owning a contiguous session range of
+// out.PerSession. The decoder's full-set streamWorker g holds the
+// member pages of the global skip test. With one shard g is also the
+// only worker: it replays the stream's own block in the decode loop,
+// with no copy and no channel. With more, each decoded block is copied
+// into a sharedBlock and fanned out to every worker (fanOut).
+// Caller closes s and runs finishCounters.
+func runPipeline(s *trace.Stream, set *sessions.Set, shards int, skip bool, obs *obsv.Tracer, out *Output) error {
+	n := int32(len(set.Sessions))
+	g := newStreamWorker(set, 0, n, out.PerSession, skip)
+	var f *fanOut
+	var gsp obsv.Span
+	if shards > 1 {
+		f = startShards(set, shards, skip, obs, out)
+	} else {
+		gsp = shardSpan(obs, out.Program, 0, n)
+	}
+	dsp := obs.StartSpan("replay-stream-decode")
+	dsp.Attr("program", out.Program)
 	decodeSkipped := 0
-	var derr error
+	var err error
 	for s.Next() {
 		sum := s.Summary()
-		blk, err := s.DecodeIR()
-		if err != nil {
-			derr = err
+		var blk *trace.Block
+		if blk, err = s.DecodeIR(); err != nil {
 			break
 		}
-		if g != nil {
-			g.extendMembers(blk)
-		}
-		if g == nil || sum.NWrites == 0 || g.intersects(sum) {
-			if err := s.DecodeWrites(); err != nil {
-				derr = err
-				break
-			}
-		} else {
+		skipWrites := g.skips(sum, blk)
+		if skipWrites {
 			decodeSkipped++
+		} else if err = s.DecodeWrites(); err != nil {
+			break
 		}
-		sb := <-free
-		sb.copyFrom(sum, blk)
-		sb.refs.Store(int32(shards))
-		for k := range feeds {
-			feeds[k] <- sb
+		switch {
+		case f != nil:
+			f.send(sum, blk)
+		case skipWrites:
+			g.replayIROnly(blk)
+		default:
+			g.replayBlock(blk)
 		}
 	}
-	if derr == nil {
-		derr = s.Err()
+	if err == nil {
+		err = s.Err()
 	}
-	for k := range feeds {
-		close(feeds[k])
+	dsp.Int("blocks", int64(s.NumBlocks))
+	dsp.Int("skipped_write_columns", int64(decodeSkipped))
+	dsp.End()
+	if f != nil {
+		f.wait()
+		return err
 	}
-	wg.Wait()
-	if obs != nil {
-		sp := obs.StartSpan("replay-stream-decode")
-		sp.Attr("program", out.Program)
-		sp.Int("blocks", int64(s.NumBlocks))
-		sp.Int("skipped_write_columns", int64(decodeSkipped))
-		sp.End()
-	}
-	return derr
+	g.settle()
+	gsp.Int("skipped_blocks", int64(decodeSkipped))
+	gsp.End()
+	return err
 }

@@ -65,7 +65,7 @@ func checkInvariants(t *testing.T, label string, out *Output, balanced bool) {
 }
 
 // engineOutputs replays tr/set on every engine configuration the suite
-// covers — Sequential, and Sharded at every tested shard count both
+// covers — one shard, and every tested shard count, both
 // with a self-computed and with a shared precomputed prepass — and
 // returns the labelled outputs.
 func engineOutputs(t *testing.T, tr *trace.Trace, set *sessions.Set) map[string]*Output {
@@ -75,13 +75,13 @@ func engineOutputs(t *testing.T, tr *trace.Trace, set *sessions.Set) map[string]
 		t.Fatal(err)
 	}
 	outs := map[string]*Output{}
-	seq, err := Sequential(tr, set)
+	seq, err := RunWithOptions(tr, set, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	outs["sequential"] = seq
 	for _, k := range shardCounts() {
-		sh, err := Sharded(tr, set, k)
+		sh, err := RunWithOptions(tr, set, Options{Shards: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestPropertyShardUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Sequential(tr, set)
+	seq, err := RunWithOptions(tr, set, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

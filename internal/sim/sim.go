@@ -32,18 +32,17 @@
 //     (pageTab) with sorted entries, replacing one heap allocation per
 //     live page with a handful of arena growths per replay.
 //
-// Two replay engines are provided; both consume the same immutable
-// prepass and drive the same flat replay core, so their outputs are
-// bit-identical by construction (and the differential oracle suite,
-// oracle_test.go, re-proves it against a naive per-session replay for
-// every shard count). Sequential replays all sessions on the calling
-// goroutine. Sharded partitions the sessions into K contiguous index
-// ranges and replays the shared trace once per shard concurrently:
-// each worker owns a disjoint dense counter range (a subslice of
-// PerSession) and its own page tables, so no locks are needed and the
-// merge is a no-op. Run picks the engine automatically: Sharded when
-// GOMAXPROCS > 1 and the session population is large enough to
-// amortise the fan-out, Sequential otherwise.
+// RunWithOptions is the single entry point and reaches two engines.
+// In-memory replay (runInMemory) consumes the immutable prepass and
+// drives the flat replay core: with one shard on the calling
+// goroutine, with K > 1 over K contiguous session-index ranges
+// concurrently, each worker owning a disjoint dense counter range (a
+// subslice of PerSession) and its own page tables, so no locks are
+// needed and the merge is a no-op. Streamed replay (runStreamed,
+// stream.go) replays a v3 trace file block by block without
+// materialising events. Every path is bit-identical to every other;
+// the differential oracle suite (oracle_test.go) re-proves it against
+// a naive per-session replay for every shard count.
 package sim
 
 import (
@@ -90,9 +89,9 @@ type Output struct {
 	Set        *sessions.Set
 }
 
-// ShardThreshold is the session count below which Run prefers the
-// Sequential engine: with few sessions the per-shard fan-out overhead
-// (one full event-stream scan per worker) outweighs the parallelism.
+// ShardThreshold is the session count below which Run replays on one
+// shard: with few sessions the per-shard fan-out overhead (one full
+// event-stream scan per worker) outweighs the parallelism.
 const ShardThreshold = 64
 
 // Options parameterises a replay beyond the trace and session set.
@@ -101,11 +100,11 @@ const ShardThreshold = 64
 // materialised *trace.Trace to replay in memory, or set Source (with a
 // nil trace) to stream a v3 file block by block.
 type Options struct {
-	// Shards selects the engine: 0 auto-selects for in-memory replay
-	// (Sharded across GOMAXPROCS workers when the host has spare cores
-	// and the session population is at least ShardThreshold) and
-	// single-pass for streamed replay, 1 forces Sequential, and >1
-	// forces Sharded with that worker count.
+	// Shards is the worker count, each worker owning a contiguous
+	// session-index range. 0 auto-selects: for in-memory replay
+	// GOMAXPROCS workers when the host has spare cores and the session
+	// population is at least ShardThreshold, one otherwise; for
+	// streamed replay one. Values above the session count are clamped.
 	Shards int
 	// Source selects streamed replay over a v3 trace: the trace
 	// argument must be nil, and blocks are decoded once and fanned out
@@ -135,18 +134,23 @@ type Options struct {
 	Prepass *Prepass
 }
 
-// Run replays the trace against the session set, picking the replay
-// engine automatically: Sharded across GOMAXPROCS workers when the host
-// has spare cores and the session population is at least
-// ShardThreshold, Sequential otherwise. Both engines produce
-// bit-identical output.
+// Run replays the trace against the session set: RunWithOptions with
+// the zero Options, so the engine fans out across GOMAXPROCS workers
+// when the host has spare cores and the session population is at
+// least ShardThreshold, and replays on the calling goroutine otherwise.
 func Run(tr *trace.Trace, set *sessions.Set) (*Output, error) {
 	return RunWithOptions(tr, set, Options{})
 }
 
-// RunWithOptions is Run with explicit engine selection, a shareable
-// precomputed prepass, streamed replay (Options.Source), and
-// observability sinks (see Options).
+// RunWithOptions is the replay entry point: in-memory replay of a
+// materialised trace (runInMemory) or, with Options.Source set and a
+// nil trace, streamed replay of a v3 file (runStreamed). Options also
+// carry the shard count, a shareable precomputed prepass and the
+// observability sink.
+//
+// Replay entry is an injection point (fault.SiteSimReplay, keyed by
+// program name); with no active chaos plan the check is one atomic
+// load per replay, never per event.
 func RunWithOptions(tr *trace.Trace, set *sessions.Set, o Options) (*Output, error) {
 	if o.Source != nil {
 		if tr != nil {
@@ -160,28 +164,7 @@ func RunWithOptions(tr *trace.Trace, set *sessions.Set, o Options) (*Output, err
 	if tr == nil {
 		return nil, fmt.Errorf("sim: nil trace and no stream source")
 	}
-	shards := o.Shards
-	if shards == 0 {
-		if w := runtime.GOMAXPROCS(0); w > 1 && len(set.Sessions) >= ShardThreshold {
-			shards = w
-		} else {
-			shards = 1
-		}
-	}
-	if shards > 1 {
-		return sharded(tr, set, shards, o.Obs, o.Prepass)
-	}
-	return sequential(tr, set, o.Obs, o.Prepass)
-}
-
-// Sequential replays the trace against the session set on the calling
-// goroutine.
-//
-// Replay entry is an injection point (fault.SiteSimReplay, keyed by
-// program name); with no active chaos plan the check is one atomic
-// load per replay, never per event.
-func Sequential(tr *trace.Trace, set *sessions.Set) (*Output, error) {
-	return sequential(tr, set, nil, nil)
+	return runInMemory(tr, set, o)
 }
 
 // ensurePrepass returns pp when supplied (after checking it matches
@@ -204,16 +187,35 @@ func ensurePrepass(tr *trace.Trace, pp *Prepass, obs *obsv.Tracer) (*Prepass, er
 	return Prepare(tr)
 }
 
-func sequential(tr *trace.Trace, set *sessions.Set, obs *obsv.Tracer, pp *Prepass) (*Output, error) {
+// runInMemory is the in-memory replay engine. With one shard it runs
+// the flat replay core on the calling goroutine; with K > 1 it
+// partitions the sessions into K contiguous index ranges and replays
+// the shared trace once per range concurrently (replayShards). Shards
+// is clamped to [1, len(set.Sessions)]; 0 auto-selects as Run
+// documents.
+func runInMemory(tr *trace.Trace, set *sessions.Set, o Options) (*Output, error) {
 	if err := fault.Inject(fault.SiteSimReplay, tr.Program); err != nil {
 		return nil, fmt.Errorf("sim: replaying %s: %w", tr.Program, err)
 	}
+	n := len(set.Sessions)
+	shards := o.Shards
+	if shards == 0 && n >= ShardThreshold {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	if shards > n {
+		shards = n
+	}
+	if shards < 1 {
+		shards = 1
+	}
+	obs := o.Obs
 	var start time.Time
 	if obs != nil {
-		sp := obs.StartSpan("replay-sequential")
+		sp := obs.StartSpan("replay-memory")
 		sp.Attr("program", tr.Program)
-		sp.Int("sessions", int64(len(set.Sessions)))
+		sp.Int("sessions", int64(n))
 		sp.Int("events", int64(len(tr.Events)))
+		sp.Int("shards", int64(shards))
 		start = time.Now()
 		defer func() {
 			if secs := time.Since(start).Seconds(); secs > 0 {
@@ -222,7 +224,7 @@ func sequential(tr *trace.Trace, set *sessions.Set, obs *obsv.Tracer, pp *Prepas
 			sp.End()
 		}()
 	}
-	pp, err := ensurePrepass(tr, pp, obs)
+	pp, err := ensurePrepass(tr, o.Prepass, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -230,11 +232,15 @@ func sequential(tr *trace.Trace, set *sessions.Set, obs *obsv.Tracer, pp *Prepas
 		Program:     tr.Program,
 		BaseCycles:  tr.BaseCycles,
 		TotalWrites: pp.TotalWrites,
-		PerSession:  make([]Counting, len(set.Sessions)),
+		PerSession:  make([]Counting, n),
 		Set:         set,
 	}
-	var pages [2]pageTab
-	replayRange(tr, set, pp, 0, int32(len(set.Sessions)), out.PerSession, &pages)
+	if shards == 1 {
+		var pages [2]pageTab
+		replayRange(tr, set, pp, 0, int32(n), out.PerSession, &pages)
+	} else {
+		replayShards(tr, set, pp, shards, obs, out.PerSession)
+	}
 	finishCounters(out.PerSession, pp.TotalWrites)
 	return out, nil
 }
@@ -268,75 +274,25 @@ func finishCounters(per []Counting, totalWrites uint64) {
 	}
 }
 
-// Sharded replays the trace against the session set using `shards`
-// concurrent workers, each owning a contiguous range of session
-// indices.
-//
-// All workers share the immutable prepass (write resolution + dense
-// page remap); each maintains arena-backed page tables and counting
-// variables for its own sessions only, so the total page-multiset work
-// across workers matches the sequential engine's. Workers write into
-// disjoint subslices of PerSession; no locks are needed and the merge
-// is a no-op.
-//
-// Results are bit-identical to Sequential for every shard count,
-// because each session's counters are accumulated by exactly one worker
-// in full trace order. shards is clamped to [1, len(set.Sessions)].
-func Sharded(tr *trace.Trace, set *sessions.Set, shards int) (*Output, error) {
-	return sharded(tr, set, shards, nil, nil)
-}
-
-func sharded(tr *trace.Trace, set *sessions.Set, shards int, obs *obsv.Tracer, pp *Prepass) (*Output, error) {
-	if err := fault.Inject(fault.SiteSimReplay, tr.Program); err != nil {
-		return nil, fmt.Errorf("sim: replaying %s: %w", tr.Program, err)
-	}
-	n := len(set.Sessions)
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
-	var start time.Time
-	if obs != nil {
-		sp := obs.StartSpan("replay-sharded")
-		sp.Attr("program", tr.Program)
-		sp.Int("sessions", int64(n))
-		sp.Int("events", int64(len(tr.Events)))
-		sp.Int("shards", int64(shards))
-		start = time.Now()
-		defer func() {
-			if secs := time.Since(start).Seconds(); secs > 0 {
-				sp.Float("events_per_sec", float64(len(tr.Events))/secs)
-			}
-			sp.End()
-		}()
-	}
-	pp, err := ensurePrepass(tr, pp, obs)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %s: %w", tr.Program, err)
-	}
-	out := &Output{
-		Program:     tr.Program,
-		BaseCycles:  tr.BaseCycles,
-		TotalWrites: pp.TotalWrites,
-		PerSession:  make([]Counting, n),
-		Set:         set,
-	}
-	if n == 0 {
-		return out, nil
-	}
-
+// replayShards replays the trace for `shards` contiguous session
+// ranges concurrently, one goroutine each. All workers share the
+// immutable prepass (write resolution + dense page remap); each keeps
+// arena-backed page tables and counters for its own sessions only, so
+// the total page-multiset work matches the one-shard replay. Workers
+// write into disjoint subslices of per, so no locks are needed and the
+// merge is a no-op; each session's counters are accumulated by exactly
+// one worker in full trace order, which makes the result bit-identical
+// for every shard count. 1 < shards <= len(per).
+func replayShards(tr *trace.Trace, set *sessions.Set, pp *Prepass, shards int, obs *obsv.Tracer, per []Counting) {
+	n := len(per)
 	var wg sync.WaitGroup
 	for k := 0; k < shards; k++ {
-		// Even split: the first n%shards shards take one extra session.
+		// Even split: the first n%shards shards take one extra
+		// session. shards <= n, so every range is non-empty.
 		lo := int32(k * n / shards)
 		hi := int32((k + 1) * n / shards)
-		if lo == hi {
-			continue
-		}
 		wg.Add(1)
-		go func(lo, hi int32) {
+		go func() {
 			defer wg.Done()
 			if obs != nil {
 				sp := obs.StartSpan("replay-shard")
@@ -345,16 +301,13 @@ func sharded(tr *trace.Trace, set *sessions.Set, shards int, obs *obsv.Tracer, p
 				defer sp.End()
 			}
 			var pages [2]pageTab
-			replayRange(tr, set, pp, lo, hi, out.PerSession[lo:hi], &pages)
-		}(lo, hi)
+			replayRange(tr, set, pp, lo, hi, per[lo:hi], &pages)
+		}()
 	}
 	wg.Wait()
-
-	finishCounters(out.PerSession, pp.TotalWrites)
-	return out, nil
 }
 
-// replayRange is the flat replay core shared by both engines: it
+// replayRange is the flat replay core of in-memory replay: it
 // replays the full event stream for the sessions in [lo, hi),
 // accumulating into per (the PerSession subslice for that range;
 // per[0] is session lo) and the caller-owned page tables. pp is the

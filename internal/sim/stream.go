@@ -53,67 +53,28 @@ package sim
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"edb/internal/arch"
 	"edb/internal/fault"
 	"edb/internal/objects"
-	"edb/internal/obsv"
 	"edb/internal/sessions"
 	"edb/internal/trace"
 )
 
-// StreamOptions parameterises RunStream.
-//
-// Deprecated: use Options — Shards/NoSkip/Obs carry over field for
-// field, with the source moving into Options.Source.
-type StreamOptions struct {
-	// Shards is the worker count: each worker owns a contiguous
-	// session-index range; all workers consume one shared decode pass
-	// over the file. <= 1 replays single-pass on the calling goroutine;
-	// values above the session count are clamped.
-	Shards int
-	// NoSkip disables the block-skip fast path: every block's write
-	// columns are decoded and replayed. Results are bit-identical with
-	// and without skipping (the differential suite holds RunStream to
-	// that); NoSkip exists as the oracle's slow half and for measuring
-	// the skip win.
-	NoSkip bool
-	// Obs, when non-nil, receives replay spans (one per worker, with
-	// block/skip counts) exactly like the in-memory engines' Options.
-	Obs *obsv.Tracer
-}
-
-// RunStream replays a v3 trace from src against the session set,
-// streaming blocks instead of materialising events. Output is
-// bit-identical to Run on the materialised trace.
-//
-// Deprecated: use RunWithOptions(nil, set, Options{Source: src, ...});
-// this shim forwards to it.
-func RunStream(src trace.StreamSource, set *sessions.Set, o StreamOptions) (*Output, error) {
-	return RunWithOptions(nil, set, Options{
-		Shards: o.Shards,
-		Source: src,
-		NoSkip: o.NoSkip,
-		Obs:    o.Obs,
-	})
-}
-
 // runStreamed is the streamed replay engine behind RunWithOptions: it
-// opens the source exactly once and replays block by block, skipping
-// write columns of blocks that provably cannot touch monitored pages
-// (see the package comment above; disable with Options.NoSkip). With
-// shards > 1 a single decode pass fans decoded blocks out to every
-// shard worker through a bounded pipeline (pipeline.go) instead of
-// each worker re-reading the file.
+// opens the source exactly once and replays block by block through one
+// decode pass (runPipeline), skipping write columns of blocks that
+// provably cannot touch monitored pages (see the package comment above;
+// disable with Options.NoSkip). Shards is clamped to
+// [1, len(set.Sessions)].
 func runStreamed(src trace.StreamSource, set *sessions.Set, o Options) (*Output, error) {
 	s, err := src.Open()
 	if err != nil {
 		return nil, fmt.Errorf("sim: opening trace stream: %w", err)
 	}
+	defer s.Close()
 	if err := fault.Inject(fault.SiteSimReplay, s.Program); err != nil {
-		s.Close()
 		return nil, fmt.Errorf("sim: replaying %s: %w", s.Program, err)
 	}
 	n := len(set.Sessions)
@@ -149,28 +110,8 @@ func runStreamed(src trace.StreamSource, set *sessions.Set, o Options) (*Output,
 		}()
 	}
 	if n == 0 {
-		s.Close()
 		return out, nil
 	}
-
-	if shards <= 1 {
-		defer s.Close()
-		skipped, err := replayStream(s, set, 0, int32(n), out.PerSession, !o.NoSkip)
-		if o.Obs != nil {
-			sp := o.Obs.StartSpan("replay-stream-shard")
-			sp.Attr("program", s.Program)
-			sp.Attr("sessions", "0.."+strconv.Itoa(n))
-			sp.Int("skipped_blocks", int64(skipped))
-			sp.End()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sim: streaming %s: %w", out.Program, err)
-		}
-		finishCounters(out.PerSession, out.TotalWrites)
-		return out, nil
-	}
-
-	defer s.Close()
 	if err := runPipeline(s, set, shards, !o.NoSkip, o.Obs, out); err != nil {
 		return nil, fmt.Errorf("sim: streaming %s: %w", out.Program, err)
 	}
@@ -268,36 +209,17 @@ func (w *streamWorker) settle() {
 	}
 }
 
-// replayStream replays one stream for sessions [lo, hi), accumulating
-// into per, and returns the number of blocks whose write columns were
-// skipped.
-func replayStream(s *trace.Stream, set *sessions.Set, lo, hi int32, per []Counting, skip bool) (int, error) {
-	w := newStreamWorker(set, lo, hi, per, skip)
-	skipped := 0
-	for s.Next() {
-		sum := s.Summary()
-		blk, err := s.DecodeIR()
-		if err != nil {
-			return skipped, err
-		}
-		if skip {
-			w.extendMembers(blk)
-			if sum.NWrites > 0 && !w.intersects(sum) {
-				skipped++
-				w.replayIROnly(blk)
-				continue
-			}
-		}
-		if err := s.DecodeWrites(); err != nil {
-			return skipped, err
-		}
-		w.replayBlock(blk)
+// skips reports whether the block's write columns can be skipped for
+// this worker's sessions: it first grows the member-page set with the
+// block's own member install/remove spans, then tests the block's
+// written-page summary against it. Always false when the worker was
+// built without skipping.
+func (w *streamWorker) skips(sum *trace.BlockSummary, blk *trace.Block) bool {
+	if w.memberBits == nil {
+		return false
 	}
-	if err := s.Err(); err != nil {
-		return skipped, err
-	}
-	w.settle()
-	return skipped, nil
+	w.extendMembers(blk)
+	return sum.NWrites > 0 && !w.intersects(sum)
 }
 
 func (w *streamWorker) membership(obj objects.ID) []int32 {

@@ -19,7 +19,7 @@ import (
 func v3Source(t testing.TB, tr *trace.Trace, blockEvents int) trace.StreamSource {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.WriteV3Blocks(&buf, blockEvents); err != nil {
+	if err := trace.WriteTo(&buf, tr, trace.WriteOptions{Version: 3, BlockEvents: blockEvents}); err != nil {
 		t.Fatal(err)
 	}
 	return trace.BytesSource(buf.Bytes())
@@ -52,7 +52,7 @@ func TestStreamDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 31))
 		sets := []*sessions.Set{full, randomSubset(rng, full), randomSubset(rng, full)}
 		for si, set := range sets {
-			want, err := Sequential(tr, set)
+			want, err := RunWithOptions(tr, set, Options{Shards: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestStreamDifferential(t *testing.T) {
 				src := v3Source(t, tr, be)
 				for _, noskip := range []bool{false, true} {
 					for _, shards := range shardCounts() {
-						got, err := RunStream(src, set, StreamOptions{Shards: shards, NoSkip: noskip})
+						got, err := RunWithOptions(nil, set, Options{Source: src, Shards: shards, NoSkip: noskip})
 						if err != nil {
 							t.Fatalf("seed %d set %d be=%d noskip=%v shards=%d: %v",
 								seed, si, be, noskip, shards, err)
@@ -86,7 +86,7 @@ func TestStreamBlockSizeInvariance(t *testing.T) {
 	}
 	tr := workloadTrace(t, "bps")
 	set := sessions.Discover(tr)
-	want, err := Sequential(tr, set)
+	want, err := RunWithOptions(tr, set, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestStreamBlockSizeInvariance(t *testing.T) {
 	for _, be := range []int{1, 1 << 10, 8192, 1 << 15, 1 << 16} {
 		src := v3Source(t, tr, be)
 		for _, noskip := range []bool{false, true} {
-			got, err := RunStream(src, set, StreamOptions{Shards: 4, NoSkip: noskip})
+			got, err := RunWithOptions(nil, set, Options{Source: src, Shards: 4, NoSkip: noskip})
 			if err != nil {
 				t.Fatalf("be=%d noskip=%v: %v", be, noskip, err)
 			}
@@ -115,12 +115,12 @@ func TestStreamAllWorkloads(t *testing.T) {
 	for _, name := range progs.Names() {
 		tr := workloadTrace(t, name)
 		set := sessions.Discover(tr)
-		want, err := Sequential(tr, set)
+		want, err := RunWithOptions(tr, set, Options{Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		src := v3Source(t, tr, 0)
-		got, err := RunStream(src, set, StreamOptions{Shards: 4})
+		got, err := RunWithOptions(nil, set, Options{Source: src, Shards: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -150,30 +150,21 @@ func TestStreamSparseSubset(t *testing.T) {
 		t.Fatal("no OneHeap session discovered")
 	}
 	set := sessions.NewSet(one, full.NumObjects())
-	want, err := Sequential(tr, set)
+	want, err := RunWithOptions(tr, set, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteV3Blocks(&buf, 1024); err != nil {
+	if err := trace.WriteTo(&buf, tr, trace.WriteOptions{Version: 3, BlockEvents: 1024}); err != nil {
 		t.Fatal(err)
 	}
-	src := trace.BytesSource(buf.Bytes())
-	s, err := src.Open()
+	obs := obsv.NewTracer(64)
+	got, err := RunWithOptions(nil, set, Options{Source: trace.BytesSource(buf.Bytes()), Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	skipped, err := replayStream(s, set, 0, int32(len(set.Sessions)),
-		make([]Counting, len(set.Sessions)), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped == 0 {
-		t.Fatal("sparse one-session set skipped zero blocks — the fast path never fires")
-	}
-	got, err := RunStream(src, set, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if skipped := spanAttr(obs, "replay-stream-shard", "skipped_blocks"); skipped == "" || skipped == "0" {
+		t.Fatalf("sparse one-session set skipped %q blocks — the fast path never fires", skipped)
 	}
 	if canonicalHash(got) != canonicalHash(want) {
 		t.Fatal("skipping replay diverged from in-memory on sparse set")
@@ -184,7 +175,7 @@ func TestStreamSparseSubset(t *testing.T) {
 func TestStreamEmptySet(t *testing.T) {
 	tr := checkedTrace(t, 1, 400)
 	set := sessions.NewSet(nil, sessions.Discover(tr).NumObjects())
-	out, err := RunStream(v3Source(t, tr, 32), set, StreamOptions{Shards: 8})
+	out, err := RunWithOptions(nil, set, Options{Source: v3Source(t, tr, 32), Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,38 +185,38 @@ func TestStreamEmptySet(t *testing.T) {
 }
 
 // TestStreamRejectsCorrupt checks decode errors surface through
-// RunStream from any worker.
+// streamed replay from any worker.
 func TestStreamRejectsCorrupt(t *testing.T) {
 	tr := checkedTrace(t, 2, 400)
 	var buf bytes.Buffer
-	if err := tr.WriteV3Blocks(&buf, 16); err != nil {
+	if err := trace.WriteTo(&buf, tr, trace.WriteOptions{Version: 3, BlockEvents: 16}); err != nil {
 		t.Fatal(err)
 	}
 	data := append([]byte(nil), buf.Bytes()...)
 	data[len(data)/2] ^= 0x10
 	set := sessions.Discover(tr)
-	if _, err := RunStream(trace.BytesSource(data), set, StreamOptions{Shards: 3}); err == nil {
+	if _, err := RunWithOptions(nil, set, Options{Source: trace.BytesSource(data), Shards: 3}); err == nil {
 		t.Fatal("corrupt stream replayed without error")
 	}
-	if _, err := RunStream(trace.BytesSource(data[:8]), set, StreamOptions{}); err == nil {
+	if _, err := RunWithOptions(nil, set, Options{Source: trace.BytesSource(data[:8])}); err == nil {
 		t.Fatal("truncated stream replayed without error")
 	}
 }
 
-// TestStreamObserved pins StreamOptions.Obs: observation never feeds
+// TestStreamObserved pins Options.Obs on streamed replay: observation never feeds
 // back (bit-identical counters), and the expected span structure
 // appears — the engine span with its events_per_sec attribute and one
 // span per shard worker carrying the skipped-block count.
 func TestStreamObserved(t *testing.T) {
 	tr := checkedTrace(t, 9, 1200)
 	set := sessions.Discover(tr)
-	quiet, err := Sequential(tr, set)
+	quiet, err := RunWithOptions(tr, set, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	obs := obsv.NewTracer(256)
 	const k = 2
-	got, err := RunStream(v3Source(t, tr, 64), set, StreamOptions{Shards: k, Obs: obs})
+	got, err := RunWithOptions(nil, set, Options{Source: v3Source(t, tr, 64), Shards: k, Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +250,10 @@ func TestStreamFaultInjection(t *testing.T) {
 		Site: fault.SiteSimReplay, Kind: fault.Transient, Times: 1,
 	}))
 	defer fault.Deactivate()
-	if _, err := RunStream(v3Source(t, tr, 64), set, StreamOptions{}); err == nil {
+	if _, err := RunWithOptions(nil, set, Options{Source: v3Source(t, tr, 64)}); err == nil {
 		t.Fatal("injected replay fault not surfaced")
 	}
-	if _, err := RunStream(v3Source(t, tr, 64), set, StreamOptions{}); err != nil {
+	if _, err := RunWithOptions(nil, set, Options{Source: v3Source(t, tr, 64)}); err != nil {
 		t.Fatalf("fault exhausted but replay still fails: %v", err)
 	}
 }
@@ -308,6 +299,51 @@ func TestStreamSingleOpen(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.PerSession, want.PerSession) {
 			t.Fatalf("shards=%d: pipeline counters diverge from in-memory replay", shards)
+		}
+	}
+}
+
+// TestStreamSpansCoverReplay: streamed replay's worker and decode spans
+// cover the work they name, so a timeline shows where the replay spends
+// its time. At one and two shards, every replay-stream-shard span and
+// the replay-stream-decode span must cover at least half of the
+// enclosing replay-stream span, and the observed counters stay
+// bit-identical to an unobserved replay.
+func TestStreamSpansCoverReplay(t *testing.T) {
+	tr := checkedTrace(t, 12, 20000)
+	set := sessions.Discover(tr)
+	src := v3Source(t, tr, 256)
+	quiet, err := RunWithOptions(nil, set, Options{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		obs := obsv.NewTracer(256)
+		got, err := RunWithOptions(nil, set, Options{Source: src, Shards: shards, Obs: obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.PerSession, quiet.PerSession) {
+			t.Fatalf("shards=%d: observed streamed replay diverged from the unobserved one", shards)
+		}
+		var total int64
+		var parts []obsv.Record
+		for _, r := range obs.Records() {
+			switch r.Name {
+			case "replay-stream":
+				total = r.Dur
+			case "replay-stream-shard", "replay-stream-decode":
+				parts = append(parts, r)
+			}
+		}
+		if len(parts) != shards+1 {
+			t.Fatalf("shards=%d: got %d shard/decode spans, want %d", shards, len(parts), shards+1)
+		}
+		for _, r := range parts {
+			if 2*r.Dur < total {
+				t.Errorf("shards=%d: %s span covers %.1f%% of replay-stream (%d of %d ns), want >= 50%%",
+					shards, r.Name, 100*float64(r.Dur)/float64(total), r.Dur, total)
+			}
 		}
 	}
 }

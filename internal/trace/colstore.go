@@ -7,7 +7,7 @@
 // time into reusable buffers, verify each block independently, and —
 // the point of the exercise — *skip decoding* the write columns of any
 // block whose written-page summary cannot intersect the pages a replay
-// engine is monitoring (internal/sim.RunStream).
+// engine is monitoring (streamed replay in internal/sim).
 //
 // Layout ("frame" below = uvarint(len) + crc32-IEEE(4B LE) + payload;
 // every frame is independently checksummed):
@@ -149,7 +149,7 @@ func summarize(events []Event) BlockSummary {
 }
 
 // BlockIndex is the in-memory block map of a trace under a given
-// blocking: the summaries WriteV3Blocks would emit, computable without
+// blocking: the summaries a version-3 WriteTo would emit, computable without
 // serialising. internal/exp caches one per (benchmark, scale) artifact
 // so repeated streaming analyses share the skip metadata.
 type BlockIndex struct {
@@ -162,7 +162,7 @@ func (x *BlockIndex) NumBlocks() int { return len(x.Blocks) }
 
 // BuildBlockIndex computes the trace's block index for the given
 // events-per-block (DefaultBlockEvents when <= 0). The summaries are
-// byte-for-byte the ones WriteV3Blocks emits for the same blocking.
+// byte-for-byte the ones a version-3 WriteTo emits for the same blocking.
 func (t *Trace) BuildBlockIndex(blockEvents int) *BlockIndex {
 	if blockEvents <= 0 {
 		blockEvents = DefaultBlockEvents
@@ -182,24 +182,6 @@ func (t *Trace) BuildBlockIndex(blockEvents int) *BlockIndex {
 // per-column delta encodings.
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// WriteV3 serialises the trace in the columnar streaming format with
-// the default block size. v1/v2 readers do not read it; OpenStream and
-// Read do.
-//
-// Deprecated: use WriteTo(w, t, WriteOptions{Version: 3}).
-func (t *Trace) WriteV3(w io.Writer) error { return WriteTo(w, t, WriteOptions{Version: version3}) }
-
-// WriteV3Blocks is WriteV3 with an explicit events-per-block
-// (<= 0 selects DefaultBlockEvents). The choice is a pure layout
-// parameter: any blocking decodes to the same trace and replays to the
-// same counters (the metamorphic suite pins this down to 1-event
-// blocks).
-//
-// Deprecated: use WriteTo(w, t, WriteOptions{Version: 3, BlockEvents: n}).
-func (t *Trace) WriteV3Blocks(w io.Writer, blockEvents int) error {
-	return WriteTo(w, t, WriteOptions{Version: version3, BlockEvents: blockEvents})
-}
 
 // Block is one decoded v3 block in columnar form, reused across
 // iterations of one Stream. IR* slices hold the install/remove events

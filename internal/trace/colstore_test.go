@@ -63,8 +63,8 @@ func TestV3RoundTrip(t *testing.T) {
 	for _, tr := range []*Trace{sampleTrace(), bigTrace(1000)} {
 		for _, be := range []int{1, 2, 3, 7, 64, DefaultBlockEvents} {
 			var buf bytes.Buffer
-			if err := tr.WriteV3Blocks(&buf, be); err != nil {
-				t.Fatalf("%s/be=%d: WriteV3Blocks: %v", tr.Program, be, err)
+			if err := WriteTo(&buf, tr, WriteOptions{Version: 3, BlockEvents: be}); err != nil {
+				t.Fatalf("%s/be=%d: WriteTo: %v", tr.Program, be, err)
 			}
 			got, err := Read(bytes.NewReader(buf.Bytes()))
 			if err != nil {
@@ -88,7 +88,7 @@ func TestV3RoundTrip(t *testing.T) {
 func TestV3RoundTripEmpty(t *testing.T) {
 	tr := &Trace{Program: "empty", Objects: objects.NewTable()}
 	var buf bytes.Buffer
-	if err := tr.WriteV3(&buf); err != nil {
+	if err := WriteTo(&buf, tr, WriteOptions{Version: 3}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(bytes.NewReader(buf.Bytes()))
@@ -117,7 +117,7 @@ func TestV3RoundTripEmpty(t *testing.T) {
 func TestStreamIteration(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := tr.WriteV3Blocks(&buf, 2); err != nil {
+	if err := WriteTo(&buf, tr, WriteOptions{Version: 3, BlockEvents: 2}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenStream(bytes.NewReader(buf.Bytes()))
@@ -169,7 +169,7 @@ func TestStreamIteration(t *testing.T) {
 func TestDecodeWritesWithoutIR(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := tr.WriteV3(&buf); err != nil {
+	if err := WriteTo(&buf, tr, WriteOptions{Version: 3}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenStream(bytes.NewReader(buf.Bytes()))
@@ -232,7 +232,7 @@ func TestBlockSummarySemantics(t *testing.T) {
 // through Read) and for garbage.
 func TestOpenStreamRejectsNonV3(t *testing.T) {
 	var v2 bytes.Buffer
-	if err := sampleTrace().Write(&v2); err != nil {
+	if err := WriteTo(&v2, sampleTrace(), WriteOptions{Version: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenStream(bytes.NewReader(v2.Bytes())); err == nil ||
@@ -259,7 +259,7 @@ func TestFileSource(t *testing.T) {
 	tr := sampleTrace()
 	path := filepath.Join(t.TempDir(), "t.v3.trace")
 	var buf bytes.Buffer
-	if err := tr.WriteV3Blocks(&buf, 2); err != nil {
+	if err := WriteTo(&buf, tr, WriteOptions{Version: 3, BlockEvents: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -297,10 +297,10 @@ func TestFileSource(t *testing.T) {
 func TestV3Compactness(t *testing.T) {
 	tr := bigTrace(4096)
 	var v2, v3 bytes.Buffer
-	if err := tr.Write(&v2); err != nil {
+	if err := WriteTo(&v2, tr, WriteOptions{Version: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteV3(&v3); err != nil {
+	if err := WriteTo(&v3, tr, WriteOptions{Version: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if v3.Len() >= v2.Len() {

@@ -124,14 +124,14 @@ func traceGateFiles(tb testing.TB) *traceGateFixture {
 			tb.Fatal(err)
 		}
 	}
-	write(fx.v2path, func(f *os.File) error { return tr.Write(f) })
-	write(fx.v3path, func(f *os.File) error { return tr.WriteV3(f) })
+	write(fx.v2path, func(f *os.File) error { return trace.WriteTo(f, tr, trace.WriteOptions{Version: 2}) })
+	write(fx.v3path, func(f *os.File) error { return trace.WriteTo(f, tr, trace.WriteOptions{Version: 3}) })
 	return fx
 }
 
 // replayV2File is the current path for replaying a trace file: decode
-// the whole v2 file into memory, then run the in-memory sequential
-// engine. One call is one gate "op".
+// the whole v2 file into memory, then replay it in memory on one shard.
+// One call is one gate "op".
 func (fx *traceGateFixture) replayV2File(tb testing.TB) *sim.Output {
 	f, err := os.Open(fx.v2path)
 	if err != nil {
@@ -142,7 +142,7 @@ func (fx *traceGateFixture) replayV2File(tb testing.TB) *sim.Output {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	out, err := sim.Sequential(tr, fx.set)
+	out, err := sim.RunWithOptions(tr, fx.set, sim.Options{Shards: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func (fx *traceGateFixture) replayV2File(tb testing.TB) *sim.Output {
 // replayV3Stream is the streamed path: one block-at-a-time pass over
 // the v3 file with block skipping on, never materialising []Event.
 func (fx *traceGateFixture) replayV3Stream(tb testing.TB) *sim.Output {
-	out, err := sim.RunStream(trace.FileSource(fx.v3path), fx.set, sim.StreamOptions{})
+	out, err := sim.RunWithOptions(nil, fx.set, sim.Options{Source: trace.FileSource(fx.v3path)})
 	if err != nil {
 		tb.Fatal(err)
 	}
